@@ -127,7 +127,8 @@ def upper_b1(p: PoincareProfile, nd: NilpotencyData) -> int:
     if p.r * total >= p.formal_dim:
         raise ValueError("nilpotency hypothesis r * sum(exponents) < formal_dim fails")
     result = total + (p.formal_dim - p.r * total) // p.q
-    assert result * p.r < p.formal_dim, "strict improvement postcondition violated"
+    if result * p.r >= p.formal_dim:
+        raise RuntimeError("strict improvement postcondition violated")
     return result
 
 
@@ -249,10 +250,13 @@ class OrientedSummary:
 
     @classmethod
     def from_record(cls, record: dict) -> "OrientedSummary":
+        n, k = record["n"], record["k"]
+        if len(record["betti"]) != k * (n - k) + 1:
+            raise ValueError(f"cache record for ({n}, {k}) needs {k * (n - k) + 1} Betti numbers")
         exps, length, degree = record["longest_product"]
         return cls(
-            n=record["n"],
-            k=record["k"],
+            n=n,
+            k=k,
             ht_w2=record["ht_w2"],
             longest=(tuple(int(e) for e in exps), int(length), int(degree)),
             char_dims=tuple(int(b) for b in record["betti"]),
@@ -273,10 +277,8 @@ def summarize_oriented(pres: GrassmannPresentation) -> OrientedSummary:
     )
 
 
-def default_q(char_dims=None) -> int:
+def default_q(char_dims) -> int:
     """Second nonzero reduced degree: first degree above 2 with classes present."""
-    if char_dims is None:
-        return 3
     for d in range(3, len(char_dims)):
         if char_dims[d]:
             return d

@@ -6,6 +6,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -657,20 +658,34 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(args.k, args.n_min, args.n_max, cfg)
         raise ValueError(f"unknown command {args.command!r}")
+    except BrokenPipeError:
+        raise  # handled in entry()
     except ZeroClassError as exc:
         print(f"undefined query: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED
     except SizeCapExceeded as exc:
         print(f"size cap exceeded: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (`cuplength ... | head`): not an
+        # error.  Point stdout at devnull so the flush at exit stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

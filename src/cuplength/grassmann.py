@@ -15,7 +15,7 @@ import tempfile
 from dataclasses import dataclass
 
 from .gf2linalg import Eliminator
-from .gf2poly import Gf2Polynomial, Monomial, ideal_gens_k3, inverse_series_components
+from .gf2poly import Gf2Polynomial, ideal_gens_k3, inverse_series_components
 
 
 class SizeCapExceeded(ValueError):
@@ -61,6 +61,16 @@ def monomial_basis(weights: tuple[int, ...], degree: int) -> list[tuple[int, ...
     return out
 
 
+def _shifted(v: int, mapping: list[int]) -> int:
+    """Image of a bit vector under a column map (bit j moves to bit mapping[j])."""
+    out = 0
+    while v:
+        low = v & -v
+        out |= 1 << mapping[low.bit_length() - 1]
+        v ^= low
+    return out
+
+
 class GradedQuotient:
     """Z2[variables]/(homogeneous ideal), materialized one degree at a time.
 
@@ -85,9 +95,6 @@ class GradedQuotient:
         self._index: list[dict[tuple[int, ...], int]] = []
         self._elims: list[Eliminator] = []
         self._shift_maps: dict[tuple[int, int], list[int]] = {}
-
-    def built_through(self) -> int:
-        return len(self._bases) - 1
 
     def _shift_map(self, src_degree: int, pos: int) -> list[int]:
         """Column map of multiplication by the variable at position pos."""
@@ -126,12 +133,7 @@ class GradedQuotient:
                 continue
             mapping = self._shift_map(sd, pos)
             for _, row in sorted(self._elims[sd].pivot_rows().items()):
-                shifted = 0
-                while row:
-                    low = row & -row
-                    shifted |= 1 << mapping[low.bit_length() - 1]
-                    row ^= low
-                elim.add(shifted)
+                elim.add(_shifted(row, mapping))
         for g in self._gens_by_degree.get(d, ()):
             elim.add(self._vectorize(g, d))
         elim.finalize()
@@ -167,16 +169,6 @@ class GradedQuotient:
             return 0
         return self.ambient_dim(degree) - self.ideal_rank(degree)
 
-    def basis(self, degree: int) -> list[Monomial]:
-        """Standard monomials: ambient basis elements outside the pivot columns."""
-        self.extend_to(degree)
-        pivots = set(self._elims[degree].pivot_rows())
-        return [
-            Monomial(m, self.weights)
-            for i, m in enumerate(self._bases[degree])
-            if i not in pivots
-        ]
-
     def normal_form(self, poly: Gf2Polynomial) -> Gf2Polynomial:
         if poly.weights != self.weights:
             raise ValueError("polynomial over a different variable set")
@@ -195,11 +187,28 @@ class GradedQuotient:
         """Ideal membership of a homogeneous polynomial."""
         return self.is_zero(poly)
 
-    def times_variable_nf(self, poly: Gf2Polynomial, weight: int) -> Gf2Polynomial:
-        """Normal form of poly * (variable of the given weight)."""
-        if weight not in self.weights:
-            raise ValueError(f"no variable of weight {weight}")
-        return self.normal_form(poly * Gf2Polynomial.variable(self.weights, weight))
+    def times(self, v: int, degree: int, x: Gf2Polynomial) -> int:
+        """Reduced vector of the class v (a vector in the given degree) times x.
+
+        Each term of x is applied as a chain of variable shifts; the images
+        are summed and reduced once, in degree + deg(x).
+        """
+        if x.weights != self.weights:
+            raise ValueError("polynomial over a different variable set")
+        dx = x.homogeneous_degree()
+        if dx is None:
+            raise ValueError("multiplication requires a nonzero homogeneous polynomial")
+        target = degree + dx
+        self.extend_to(target)
+        acc = 0
+        for t in x.terms:
+            u, d = v, degree
+            for pos, e in enumerate(t.exps):
+                for _ in range(e):
+                    u = _shifted(u, self._shift_map(d, pos))
+                    d += self.weights[pos]
+            acc ^= u
+        return self._elims[target].reduce(acc)
 
 
 class GrassmannPresentation:
@@ -255,20 +264,21 @@ class OrientedContext:
     mode = "oriented"
 
     def __init__(self, base: GrassmannPresentation):
-        self.base = base
+        # Only the unoriented weights are kept: a reference to base would form
+        # a cycle through base._oriented and leave both to the cyclic GC.
+        self.full_weights = base.weights
         self.n = base.n
         self.k = base.k
         self.N = base.N
         self.weights = tuple(range(2, base.k + 1))
         reduced = [g.substitute_zero(1) for g in base.ideal_gens]
-        self.reduced_gens: tuple[Gf2Polynomial, ...] = tuple(reduced)
         self.quotient = GradedQuotient(self.weights, reduced, base.caps)
 
     def _embed(self, x: Gf2Polynomial) -> Gf2Polynomial:
         """Accept input over w2..wk directly or over w1..wk with w1 absent."""
         if x.weights == self.weights:
             return x
-        if x.weights == self.base.weights:
+        if x.weights == self.full_weights:
             if any(t.exps[0] for t in x.terms):
                 raise ValueError("oriented context requires zero w1 exponent")
             return x.substitute_zero(1)
@@ -292,32 +302,6 @@ class OrientedContext:
         """Per-degree dimensions of the characteristic subalgebra."""
         top = self.N if max_degree is None else max_degree
         return [self.quotient.dim(d) for d in range(top + 1)]
-
-
-def build_presentation(n: int, k: int, caps: SizeCaps = DEFAULT_CAPS) -> GrassmannPresentation:
-    return GrassmannPresentation(n, k, caps)
-
-
-def betti(p: GrassmannPresentation) -> list[int]:
-    return p.betti()
-
-
-def is_zero_in_quotient(p: GrassmannPresentation, x: Gf2Polynomial) -> bool:
-    return p.is_zero_in_quotient(x)
-
-
-def oriented_nonzero(ctx: OrientedContext, m: Monomial) -> bool:
-    """True iff the monomial in w2..wk survives in the characteristic subalgebra."""
-    if m.weights == ctx.base.weights and m.exps[0]:
-        raise ValueError("oriented query requires zero w1 exponent")
-    poly = Gf2Polynomial(m.weights, [m.exps])
-    if m.degree > ctx.N:
-        return False
-    return not ctx.is_zero(poly)
-
-
-def char_subalgebra_dims(ctx: OrientedContext, max_degree: int | None = None) -> list[int]:
-    return ctx.char_subalgebra_dims(max_degree)
 
 
 def k3_reduced_quotient(n: int, caps: SizeCaps = DEFAULT_CAPS) -> GradedQuotient:
@@ -346,37 +330,22 @@ def w1_adjoined_quotient(n: int, k: int, caps: SizeCaps = DEFAULT_CAPS) -> Grade
     return GradedQuotient(weights, gens, caps)
 
 
-def available_target_dim(n: int, caps: SizeCaps = DEFAULT_CAPS) -> int:
-    """Largest even degree a with the pure w2-power of degree a outside the ideal (k=3)."""
-    if n < 6:
-        raise ValueError("need n >= 6")
-    quotient = k3_reduced_quotient(n, caps)
-    N = 3 * (n - 3)
-    a = 0
-    c = 1
-    while 2 * c <= N:
-        if quotient.contains(Gf2Polynomial((2, 3), [(c, 0)])):
-            break
-        a = 2 * c
-        c += 1
-    return a
-
-
 def longest_monomial_product(ctx: OrientedContext) -> tuple[tuple[int, ...], int, int]:
     """Longest nonzero product of oriented classes, scored for the cup-length bound.
 
-    Breadth-first walk over quotient classes: states are (degree, normal form),
-    extended one variable at a time; states with equal normal forms merge and
-    keep the lexicographically smallest exponent vector.  Returns (exponents,
-    length, degree) maximizing length + (1 if degree < N), ties broken by
-    larger length, then smaller exponent vector.
+    Breadth-first walk over quotient classes: states are (degree, reduced
+    vector), extended one variable at a time; states with equal vectors merge
+    and keep the lexicographically smallest exponent vector.  Returns
+    (exponents, length, degree) maximizing length + (1 if degree < N), ties
+    broken by larger length, then smaller exponent vector.
     """
     weights = ctx.weights
     quotient = ctx.quotient
-    one = Gf2Polynomial.one(weights)
-    frontier: dict[tuple[int, Gf2Polynomial], tuple[int, ...]] = {
-        (0, one): tuple(0 for _ in weights)
-    }
+    quotient.extend_to(ctx.N)
+    elims = quotient._elims
+    shift_map = quotient._shift_map
+    # The unit: degree 0 has the single basis monomial 1 and no ideal rows.
+    frontier: dict[tuple[int, int], tuple[int, ...]] = {(0, 1): tuple(0 for _ in weights)}
     best_exps = tuple(0 for _ in weights)
     best_len = 0
     best_deg = 0
@@ -387,13 +356,13 @@ def longest_monomial_product(ctx: OrientedContext) -> tuple[tuple[int, ...], int
     length = 0
     while frontier:
         length += 1
-        nxt: dict[tuple[int, Gf2Polynomial], tuple[int, ...]] = {}
+        nxt: dict[tuple[int, int], tuple[int, ...]] = {}
         for (d, nf), exps in frontier.items():
             for pos, w in enumerate(weights):
                 nd = d + w
                 if nd > ctx.N:
                     continue
-                nnf = quotient.times_variable_nf(nf, w)
+                nnf = elims[nd].reduce(_shifted(nf, shift_map(d, pos)))
                 if not nnf:
                     continue
                 nexps = exps[:pos] + (exps[pos] + 1,) + exps[pos + 1 :]
@@ -452,4 +421,19 @@ def load_record(cache_dir: str, n: int, k: int, mode: str) -> dict | None:
         raise ValueError(f"unsupported cache schema {record['schema']!r} in {path}")
     if (record["n"], record["k"], record["mode"]) != (n, k, mode):
         raise ValueError(f"cache record {path} does not match its file name")
+    product = record["longest_product"]
+    if not (
+        type(record["ht_w2"]) is int
+        and _is_int_list(record["betti"])
+        and isinstance(product, list)
+        and len(product) == 3
+        and _is_int_list(product[0])
+        and _is_int_list(product[1:])
+    ):
+        raise ValueError(f"cache record {path} has a field of the wrong type")
     return record
+
+
+def _is_int_list(value) -> bool:
+    """A JSON list of integers (booleans and floats excluded)."""
+    return isinstance(value, list) and all(type(v) is int for v in value)

@@ -60,7 +60,7 @@ def decompose_n(n: int) -> NDecomposition:
 
 
 def height_direct(ctx, x: Gf2Polynomial) -> HeightRecord:
-    """Largest c with x^c nonzero in the quotient, by incremental normal forms."""
+    """Largest c with x^c nonzero in the quotient, by incremental reduced powers."""
     if isinstance(ctx, GrassmannPresentation):
         context = "unoriented"
     elif isinstance(ctx, OrientedContext):
@@ -75,16 +75,14 @@ def height_direct(ctx, x: Gf2Polynomial) -> HeightRecord:
         raise ValueError("height requires a positive-degree class")
     if isinstance(ctx, OrientedContext):
         x = ctx._embed(x)
-        nf = ctx.normal_form(x)
-    else:
-        nf = ctx.normal_form(x)
-    if not nf:
-        raise ZeroClassError(f"{label} is zero in the {context} quotient for ({ctx.n}, {ctx.k})")
     quotient = ctx.quotient
+    # x^c is kept as a reduced vector in degree c * d; the unit is the vector 1 in degree 0.
+    cur = quotient.times(1, 0, x)
+    if not cur:
+        raise ZeroClassError(f"{label} is zero in the {context} quotient for ({ctx.n}, {ctx.k})")
     height = 1
-    cur = nf
     while (height + 1) * d <= ctx.N:
-        cur = quotient.normal_form(cur * x)
+        cur = quotient.times(cur, height * d, x)
         if not cur:
             break
         height += 1

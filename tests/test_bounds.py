@@ -1,5 +1,8 @@
 """Bound arithmetic, closed-form tables, and report assembly."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -230,3 +233,15 @@ def test_rational_report():
     assert report.cat_upper == grossman_upper(36, 2)
     with pytest.raises(ValueError):
         full_report(9, 3, field_tag="Q")
+
+
+def test_finished_ring_is_freed_without_cyclic_gc():
+    gc.disable()
+    try:
+        pres = GrassmannPresentation(9, 3)
+        ref = weakref.ref(pres)
+        summarize_oriented(pres)
+        del pres
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import cuplength
 from cuplength.cli import (
     EXIT_CHECK,
     EXIT_OK,
@@ -172,6 +175,61 @@ def test_bounds_cache_poisoning_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "bounds", "9", "3", "--cache-dir", cache)
     assert code == EXIT_USAGE
     assert "cache" in err
+
+
+def _poison_record(capsys, cache, field, value):
+    assert run(capsys, "bounds", "9", "3", "--cache-dir", cache)[0] == EXIT_OK
+    path = os.path.join(cache, "gr_9_3_oriented.json")
+    with open(path) as fh:
+        record = json.load(fh)
+    record[field] = value
+    with open(path, "w") as fh:
+        json.dump(record, fh)
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [("ht_w2", "4", "wrong type"), ("longest_product", [[4, 0], 4, None], "wrong type"), ("betti", [1], "19 Betti")],
+)
+def test_bounds_cache_malformed_field_rejected(tmp_path, capsys, field, value, message):
+    cache = str(tmp_path)
+    _poison_record(capsys, cache, field, value)
+    code, out, err = run(capsys, "bounds", "9", "3", "--cache-dir", cache)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: cache record") and message in err
+    assert len(err.splitlines()) == 1
+
+
+def test_bounds_failed_certificate_is_check_failure(tmp_path, capsys):
+    # A record whose height is too small to carry the table certificate w2^4.
+    cache = str(tmp_path)
+    _poison_record(capsys, cache, "ht_w2", 1)
+    code, out, err = run(capsys, "bounds", "9", "3", "--cache-dir", cache)
+    assert code == EXIT_CHECK
+    assert out == ""
+    assert err.startswith("check failed: table certificate w2^4 vanishes")
+    assert len(err.splitlines()) == 1
+
+
+def test_closed_pipe_exits_quietly():
+    # The output (a row per n, all failing the degree cap) far exceeds a pipe
+    # buffer, so the process is still writing when the reader goes away.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cuplength.__file__)))
+    argv = ["sweep", "3", "6", "1500", "--max-degree", "20", "--format", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cuplength.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    code = proc.wait(timeout=60)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert err == b""
+    assert code == EXIT_OK
 
 
 def test_verify_subset(capsys):

@@ -117,6 +117,58 @@ def test_longest_product_golden():
     assert longest_monomial_product(GrassmannPresentation(9, 3).oriented()) == ((4, 0), 4, 8)
 
 
+def polynomial_longest_product(ctx):
+    """The search as first written: every edge multiplies a polynomial by a
+    variable and takes its normal form.  Kept as an oracle for the vector search."""
+    weights = ctx.weights
+    quotient = ctx.quotient
+    frontier = {(0, Gf2Polynomial.one(weights)): tuple(0 for _ in weights)}
+    best_exps = tuple(0 for _ in weights)
+    best_len = 0
+    best_deg = 0
+
+    def score(length, degree):
+        return length + (1 if degree < ctx.N else 0)
+
+    length = 0
+    while frontier:
+        length += 1
+        nxt = {}
+        for (d, nf), exps in frontier.items():
+            for pos, w in enumerate(weights):
+                nd = d + w
+                if nd > ctx.N:
+                    continue
+                nnf = quotient.normal_form(nf * Gf2Polynomial.variable(weights, w))
+                if not nnf:
+                    continue
+                nexps = exps[:pos] + (exps[pos] + 1,) + exps[pos + 1 :]
+                old = nxt.get((nd, nnf))
+                if old is None or nexps < old:
+                    nxt[(nd, nnf)] = nexps
+        for (d, _), exps in nxt.items():
+            if (score(length, d), length, tuple(-e for e in exps)) > (
+                score(best_len, best_deg),
+                best_len,
+                tuple(-e for e in best_exps),
+            ):
+                best_exps, best_len, best_deg = exps, length, d
+        frontier = nxt
+    return best_exps, best_len, best_deg
+
+
+SEARCH_GRID = (
+    [(n, 3) for n in range(6, 21)] + [(n, 4) for n in range(8, 15)] + [(n, 5) for n in range(10, 14)]
+)
+
+
+@pytest.mark.parametrize("n,k", SEARCH_GRID)
+def test_vector_search_matches_polynomial_oracle(n, k):
+    vector = longest_monomial_product(GrassmannPresentation(n, k).oriented())
+    oracle = polynomial_longest_product(GrassmannPresentation(n, k).oriented())
+    assert vector == oracle
+
+
 def test_size_caps_enforced():
     with pytest.raises(SizeCapExceeded):
         GrassmannPresentation(30, 5, SizeCaps(max_formal_dim=100, max_basis=200000))
@@ -199,4 +251,38 @@ def test_record_rejects_malformed(tmp_path):
     with open(path, "w") as fh:
         json.dump({**record, "extra": 1}, fh)
     with pytest.raises(ValueError):
+        load_record(str(tmp_path), 9, 3, "oriented")
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("ht_w2", "4"),
+        ("ht_w2", 4.0),
+        ("ht_w2", True),
+        ("ht_w2", None),
+        ("betti", "1,0,1"),
+        ("betti", [1, "0", 1]),
+        ("betti", {"0": 1}),
+        ("longest_product", [[4, 0], 4]),
+        ("longest_product", [[4, "0"], 4, 8]),
+        ("longest_product", [4, 4, 8]),
+        ("longest_product", [[4, 0], "4", 8]),
+        ("longest_product", [[4, 0], 4, 8.0]),
+        ("longest_product", "[[4, 0], 4, 8]"),
+    ],
+)
+def test_record_rejects_wrong_types(tmp_path, field, value):
+    record = {
+        "schema": 1,
+        "n": 9,
+        "k": 3,
+        "mode": "oriented",
+        "betti": [1, 0, 1],
+        "ht_w2": 4,
+        "longest_product": [[4, 0], 4, 8],
+    }
+    with open(os.path.join(str(tmp_path), "gr_9_3_oriented.json"), "w") as fh:
+        json.dump({**record, field: value}, fh)
+    with pytest.raises(ValueError, match="wrong type"):
         load_record(str(tmp_path), 9, 3, "oriented")

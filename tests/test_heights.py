@@ -1,11 +1,13 @@
 """Height computations against frozen ground truth and the closed-form tables."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuplength.gf2poly import Gf2Polynomial
-from cuplength.grassmann import GrassmannPresentation
+from cuplength.grassmann import GrassmannPresentation, monomial_basis
 from cuplength.heights import (
     ZeroClassError,
     closed_form_w2_height,
@@ -159,3 +161,39 @@ def test_oriented_le_unoriented():
         unoriented = UNORIENTED_W2_HEIGHTS.get((n, k))
         if unoriented is not None:
             assert oriented <= unoriented
+
+
+def power_height(ctx, x):
+    """Oracle: the largest c with normal_form(x**c) nonzero, from whole polynomial powers."""
+    d = x.homogeneous_degree()
+    c = 0
+    while (c + 1) * d <= ctx.N and ctx.normal_form(x ** (c + 1)):
+        c += 1
+    return c
+
+
+@pytest.mark.parametrize("n,k", [(9, 3), (13, 3), (10, 4), (12, 4), (11, 5)])
+def test_vector_heights_match_power_oracle(n, k):
+    rng = random.Random(1000 * n + k)
+    pres = GrassmannPresentation(n, k)
+    zero_classes = 0
+    for ctx, lo in ((pres, 1), (pres.oriented(), 2)):
+        for _ in range(12):
+            degree = rng.randint(lo, ctx.N // 2)
+            basis = monomial_basis(ctx.weights, degree)
+            x = Gf2Polynomial(ctx.weights, rng.sample(basis, rng.randint(1, min(3, len(basis)))))
+            expected = power_height(ctx, x)
+            if expected == 0:
+                with pytest.raises(ZeroClassError):
+                    height_direct(ctx, x)
+                continue
+            record = height_direct(ctx, x)
+            assert record.height == expected, (n, k, ctx.weights, x.render())
+            assert record.witness_nonzero == expected * degree
+            # x plus its normal form lies in the ideal: a zero class whenever it is nonzero.
+            in_ideal = x + ctx.normal_form(x)
+            if in_ideal:
+                zero_classes += 1
+                with pytest.raises(ZeroClassError):
+                    height_direct(ctx, in_ideal)
+    assert zero_classes > 0
