@@ -19,12 +19,11 @@ from .bounds import (
     upper_b1,
 )
 from .gf2poly import Gf2Polynomial, Monomial, ideal_gens_k3, inverse_series_components, parse_polynomial
-from .gf2linalg import BitMatrix, EchelonBasis, Eliminator, echelonize, kernel_basis, rank
+from .gf2linalg import Eliminator
 from .grassmann import (
     DEFAULT_CAPS,
     GradedQuotient,
     GrassmannPresentation,
-    OrientedContext,
     SizeCapExceeded,
     SizeCaps,
 )

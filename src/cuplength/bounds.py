@@ -273,7 +273,7 @@ def summarize_oriented(pres: GrassmannPresentation) -> OrientedSummary:
         k=pres.k,
         ht_w2=ht,
         longest=longest_monomial_product(ctx),
-        char_dims=tuple(ctx.char_subalgebra_dims()),
+        char_dims=tuple(ctx.betti()),
     )
 
 
@@ -289,13 +289,11 @@ def full_report(
     n: int,
     k: int,
     field_tag: str = "Z2",
-    with_computation: bool = True,
     q_override: int | None = None,
     caps: SizeCaps = DEFAULT_CAPS,
-    presentation: GrassmannPresentation | None = None,
     summary: OrientedSummary | None = None,
 ) -> BoundReport:
-    """Assemble closed-form and (optionally) engine-sharpened bounds for (n, k)."""
+    """Assemble closed-form and engine-sharpened bounds for (n, k)."""
     if not (k >= 3 and n >= 2 * k):
         raise ValueError(f"need n >= 2k >= 6, got (n, k) = ({n}, {k})")
     N = k * (n - k)
@@ -345,77 +343,72 @@ def full_report(
     best_up = Bound(paper_up, paper_up_method)
     exact = False
 
-    if with_computation:
-        if summary is None:
-            pres = presentation or GrassmannPresentation(n, k, caps)
-            summary = summarize_oriented(pres)
-        if summary.char_dims[2] != 1:
-            raise RuntimeError(
-                f"degree-2 characteristic subalgebra has dimension {summary.char_dims[2]},"
-                " breaking the r = 2 single-generator profile"
-            )
-        q = q_override or default_q(summary.char_dims)
-        profile = PoincareProfile(N, 2, q, "Z2")
-        ht_or = summary.ht_w2
-        reduced_weights = tuple(range(2, k + 1))
-
-        cert_exps, cert_len, cert_deg = prop_b_certificate(n, k)
-        cert_render = Gf2Polynomial(reduced_weights, [cert_exps]).render()
-        cert_is_w2_power = all(e == 0 for e in cert_exps[1:])
-        cert_survives = (
-            cert_exps[0] <= ht_or
-            if cert_is_w2_power
-            else lower_a3(profile, summary.longest[1], summary.longest[2])
-            >= lower_a3(profile, cert_len, cert_deg)
+    if summary is None:
+        summary = summarize_oriented(GrassmannPresentation(n, k, caps))
+    if summary.char_dims[2] != 1:
+        raise RuntimeError(
+            f"degree-2 characteristic subalgebra has dimension {summary.char_dims[2]},"
+            " breaking the r = 2 single-generator profile"
         )
-        if not cert_survives:
-            raise RuntimeError(
-                f"table certificate {cert_render} vanishes for ({n}, {k}): computation bug"
-            )
-        certs.append(
-            (
-                "table-certificate",
-                f"{cert_render} nonzero, length {cert_len}, degree {cert_deg}",
-            )
+    q = q_override or default_q(summary.char_dims)
+    profile = PoincareProfile(N, 2, q, "Z2")
+    ht_or = summary.ht_w2
+    reduced_weights = tuple(range(2, k + 1))
+
+    cert_exps, cert_len, cert_deg = prop_b_certificate(n, k)
+    cert_render = Gf2Polynomial(reduced_weights, [cert_exps]).render()
+    cert_is_w2_power = all(e == 0 for e in cert_exps[1:])
+    cert_survives = (
+        cert_exps[0] <= ht_or
+        if cert_is_w2_power
+        else lower_a3(profile, summary.longest[1], summary.longest[2])
+        >= lower_a3(profile, cert_len, cert_deg)
+    )
+    if not cert_survives:
+        raise RuntimeError(
+            f"table certificate {cert_render} vanishes for ({n}, {k}): computation bug"
         )
-        table_low = lower_a3(profile, cert_len, cert_deg)
-        if table_low != paper_low:
-            raise RuntimeError(
-                f"certificate bound {table_low} disagrees with closed form {paper_low}"
-            )
-
-        certs.append(
-            ("oriented-height", f"ht = {ht_or}: w2^{ht_or} nonzero, w2^{ht_or + 1} zero")
+    certs.append(
+        (
+            "table-certificate",
+            f"{cert_render} nonzero, length {cert_len}, degree {cert_deg}",
         )
-        if lower_a3(profile, ht_or, 2 * ht_or) > best_low.value:
-            best_low = Bound(lower_a3(profile, ht_or, 2 * ht_or), "(a3) w2-power")
+    )
+    table_low = lower_a3(profile, cert_len, cert_deg)
+    if table_low != paper_low:
+        raise RuntimeError(
+            f"certificate bound {table_low} disagrees with closed form {paper_low}"
+        )
 
-        exps, length, degree = summary.longest
-        witness = Gf2Polynomial(reduced_weights, [exps]).render()
-        certs.append(("longest-product", f"{witness} nonzero, length {length}, degree {degree}"))
-        if lower_a3(profile, length, degree) > best_low.value:
-            best_low = Bound(lower_a3(profile, length, degree), "(a3) product")
+    certs.append(
+        ("oriented-height", f"ht = {ht_or}: w2^{ht_or} nonzero, w2^{ht_or + 1} zero")
+    )
+    if lower_a3(profile, ht_or, 2 * ht_or) > best_low.value:
+        best_low = Bound(lower_a3(profile, ht_or, 2 * ht_or), "(a3) w2-power")
 
-        a2_hit = check_a2(profile, ht_or)
-        if a2_hit is not None:
-            certs.append(("(a2)", f"2 * {ht_or} = {N} forces the exact value {a2_hit}"))
-            best_low = Bound(a2_hit, "(a2)")
-            best_up = Bound(a2_hit, "(a2)")
-            exact = True
-        else:
-            if upper_a1(profile) < best_up.value:
-                best_up = Bound(upper_a1(profile), "(a1)")
-            if 2 * ht_or < N:
-                sharp = upper_b1(profile, NilpotencyData((ht_or,)))
-                certs.append(
-                    ("(b1) computed", f"exponent {ht_or}, q = {q}: upper bound {sharp}")
-                )
-                if sharp < best_up.value:
-                    best_up = Bound(sharp, "(b1) computed height")
-        exact = exact or best_low.value == best_up.value
+    exps, length, degree = summary.longest
+    witness = Gf2Polynomial(reduced_weights, [exps]).render()
+    certs.append(("longest-product", f"{witness} nonzero, length {length}, degree {degree}"))
+    if lower_a3(profile, length, degree) > best_low.value:
+        best_low = Bound(lower_a3(profile, length, degree), "(a3) product")
 
+    a2_hit = check_a2(profile, ht_or)
+    if a2_hit is not None:
+        certs.append(("(a2)", f"2 * {ht_or} = {N} forces the exact value {a2_hit}"))
+        best_low = Bound(a2_hit, "(a2)")
+        best_up = Bound(a2_hit, "(a2)")
+        exact = True
     else:
-        exact = best_low.value == best_up.value
+        if upper_a1(profile) < best_up.value:
+            best_up = Bound(upper_a1(profile), "(a1)")
+        if 2 * ht_or < N:
+            sharp = upper_b1(profile, NilpotencyData((ht_or,)))
+            certs.append(
+                ("(b1) computed", f"exponent {ht_or}, q = {q}: upper bound {sharp}")
+            )
+            if sharp < best_up.value:
+                best_up = Bound(sharp, "(b1) computed height")
+    exact = exact or best_low.value == best_up.value
 
     return BoundReport(
         n=n,

@@ -64,9 +64,8 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed invocation: one command plus the shared plumbing options."""
+    """Parsed invocation: the shared plumbing options of every command."""
 
-    command: str
     fmt: str
     cache_dir: str | None
     no_cache: bool
@@ -85,7 +84,6 @@ def _config(args) -> RunConfig:
     if args.q_override is not None and args.q_override <= 2:
         raise ValueError("--q-override must exceed the first nonzero degree 2")
     return RunConfig(
-        command=args.command,
         fmt=args.format,
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
@@ -153,8 +151,7 @@ def cmd_ideal_gens(n: int, k: int, cfg: RunConfig) -> int:
     closed_rows = None
     if k == 3:
         closed = ideal_gens_k3(n)
-        reduced = [g.substitute_zero(1) for g in pres.ideal_gens]
-        agrees = list(closed) == reduced
+        agrees = closed == pres.oriented().ideal_gens
         closed_rows = [
             {"degree": n - 2 + i, "polynomial": g.render()} for i, g in enumerate(closed)
         ]
@@ -329,16 +326,24 @@ def cmd_sweep(k: int, n_min: int, n_max: int, cfg: RunConfig) -> int:
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
-def _series_reduced_k3(n: int) -> list[Gf2Polynomial]:
-    pres = GrassmannPresentation(n, 3, DEFAULT_CAPS)
-    return [g.substitute_zero(1) for g in pres.ideal_gens]
+def _top(hi: int, max_n: int | None) -> int:
+    """The upper end of a check's n range, lowered to --max-n when one is given."""
+    return min(hi, max_n) if max_n else hi
+
+
+def _grid(max_n: int | None, k3_hi: int) -> list[tuple[int, int]]:
+    """The (n, k) rings of a grid check: k = 3 up to k3_hi, k = 4 up to 24, k = 5 up to 20."""
+    grid = []
+    for k, lo, hi in ((3, 6, k3_hi), (4, 8, 24), (5, 10, 20)):
+        grid.extend((n, k) for n in range(lo, _top(hi, max_n) + 1))
+    return grid
 
 
 def _check_g_generators(max_n: int | None) -> list[tuple[str, bool, str]]:
-    top = min(64, max_n) if max_n else 64
+    top = _top(64, max_n)
     results = []
     for n in range(6, top + 1):
-        ok = list(ideal_gens_k3(n)) == _series_reduced_k3(n)
+        ok = ideal_gens_k3(n) == GrassmannPresentation(n, 3).oriented().ideal_gens
         if not ok:
             results.append((f"n={n}", False, "closed form disagrees with series inversion"))
     results.append((f"6 <= n <= {top}", not any(not ok for _, ok, _ in results), "closed form matches series inversion"))
@@ -364,7 +369,7 @@ def _check_generator_identities(max_n: int | None) -> list[tuple[str, bool, str]
 
 
 def _check_membership_routes(max_n: int | None) -> list[tuple[str, bool, str]]:
-    top = min(20, max_n) if max_n else 20
+    top = _top(20, max_n)
     results = []
     for n in range(6, top + 1):
         N = 3 * (n - 3)
@@ -374,7 +379,7 @@ def _check_membership_routes(max_n: int | None) -> list[tuple[str, bool, str]]:
             for b in range((N - 2 * a) // 3 + 1):
                 x = Gf2Polynomial((2, 3), [(a, b)])
                 full = Gf2Polynomial((1, 2, 3), [(0, a, b)])
-                if k3_reduced_membership(n, x) != adjoined.contains(full):
+                if k3_reduced_membership(n, x) != adjoined.is_zero(full):
                     mismatches += 1
         if mismatches:
             results.append((f"n={n}", False, f"{mismatches} monomial memberships disagree"))
@@ -384,18 +389,10 @@ def _check_membership_routes(max_n: int | None) -> list[tuple[str, bool, str]]:
     return results
 
 
-def _lemma_f_grid(max_n: int | None) -> list[tuple[int, int]]:
-    grid = []
-    for k, lo, hi in ((3, 6, 40), (4, 8, 24), (5, 10, 20)):
-        top = min(hi, max_n) if max_n else hi
-        grid.extend((n, k) for n in range(lo, top + 1))
-    return grid
-
-
 def _check_lemma_f(max_n: int | None) -> list[tuple[str, bool, str]]:
     results = []
     bad = 0
-    grid = _lemma_f_grid(max_n)
+    grid = _grid(max_n, 40)
     for n, k in grid:
         pres = GrassmannPresentation(n, k, DEFAULT_CAPS)
         w2 = Gf2Polynomial.variable(pres.weights, 2)
@@ -446,18 +443,10 @@ def _check_smallest_space(max_n: int | None) -> list[tuple[str, bool, str]]:
     return results
 
 
-def _prop_b_grid(max_n: int | None) -> list[tuple[int, int]]:
-    grid = []
-    for k, lo, hi in ((3, 6, 33), (4, 8, 24), (5, 10, 20)):
-        top = min(hi, max_n) if max_n else hi
-        grid.extend((n, k) for n in range(lo, top + 1))
-    return grid
-
-
 def _check_prop_b(max_n: int | None) -> list[tuple[str, bool, str]]:
     results = []
     bad = 0
-    grid = _prop_b_grid(max_n)
+    grid = _grid(max_n, 33)
     for n, k in grid:
         pres = GrassmannPresentation(n, k, DEFAULT_CAPS)
         ctx = pres.oriented()
@@ -483,8 +472,7 @@ def _check_prop_d(max_n: int | None) -> list[tuple[str, bool, str]]:
     bad = 0
     count = 0
     for k in range(3, 9):
-        top = min(64, max_n) if max_n else 64
-        for n in range(2 * k, top + 1):
+        for n in range(2 * k, _top(64, max_n) + 1):
             if (n, k) == (6, 3):
                 continue
             count += 1
@@ -515,8 +503,7 @@ def _check_rational(max_n: int | None) -> list[tuple[str, bool, str]]:
         got = (rb.lower, rb.upper, rb.exact)
         results.append((f"({n},{k})", got == want, f"expected {want}, got {got}"))
     bad = 0
-    top = min(16, max_n) if max_n else 16
-    for n in range(8, top + 1, 2):
+    for n in range(8, _top(16, max_n) + 1, 2):
         if not rational_bounds(n, 4).exact:
             bad += 1
     results.append(("even n, k=4 equality family", bad == 0, "equality flag raised"))

@@ -2,36 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class BitMatrix:
-    """An immutable GF(2) matrix as a tuple of integer rows of fixed width."""
-
-    rows: tuple[int, ...]
-    width: int
-
-    def __post_init__(self):
-        if self.width < 0:
-            raise ValueError("negative width")
-        for r in self.rows:
-            if r < 0 or r.bit_length() > self.width:
-                raise ValueError("row does not fit the declared width")
-
-
-@dataclass(frozen=True)
-class EchelonBasis:
-    """Reduced row echelon rows with their pivot columns, pivots ascending."""
-
-    rows: tuple[int, ...]
-    pivots: tuple[int, ...]
-    width: int
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
 
 class Eliminator:
     """Incremental reduced-echelon accumulator over GF(2).
@@ -105,44 +75,3 @@ class Eliminator:
     def pivot_rows(self) -> dict[int, int]:
         """Snapshot of the pivot -> row map."""
         return dict(self._piv)
-
-    def basis(self, width: int) -> EchelonBasis:
-        self.finalize()
-        pivots = tuple(sorted(self._piv))
-        return EchelonBasis(tuple(self._piv[p] for p in pivots), pivots, width)
-
-
-def echelonize(m: BitMatrix) -> EchelonBasis:
-    """Reduced row echelon form of a bit matrix."""
-    elim = Eliminator()
-    for r in m.rows:
-        elim.add(r)
-    return elim.basis(m.width)
-
-
-def reduce_vector(v: int, basis: EchelonBasis) -> int:
-    """Normal form of v against a finished echelon basis."""
-    for p, r in zip(basis.pivots, basis.rows):
-        if (v >> p) & 1:
-            v ^= r
-    return v
-
-
-def rank(m: BitMatrix) -> int:
-    return echelonize(m).rank
-
-
-def kernel_basis(m: BitMatrix) -> tuple[int, ...]:
-    """A basis of the right kernel: vectors x with row . x = 0 for every row."""
-    eb = echelonize(m)
-    pivot_set = set(eb.pivots)
-    out = []
-    for j in range(m.width):
-        if j in pivot_set:
-            continue
-        x = 1 << j
-        for p, r in zip(eb.pivots, eb.rows):
-            if (r >> j) & 1:
-                x |= 1 << p
-        out.append(x)
-    return tuple(out)

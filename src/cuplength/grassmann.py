@@ -181,11 +181,8 @@ class GradedQuotient:
         return self._devectorize(self._elims[d].reduce(self._vectorize(poly, d)), d)
 
     def is_zero(self, poly: Gf2Polynomial) -> bool:
-        return not self.normal_form(poly)
-
-    def contains(self, poly: Gf2Polynomial) -> bool:
         """Ideal membership of a homogeneous polynomial."""
-        return self.is_zero(poly)
+        return not self.normal_form(poly)
 
     def times(self, v: int, degree: int, x: Gf2Polynomial) -> int:
         """Reduced vector of the class v (a vector in the given degree) times x.
@@ -212,24 +209,41 @@ class GradedQuotient:
 
 
 class GrassmannPresentation:
-    """The ring Z2[w1..wk]/I for k-planes in n-space, with lazy degree ladders."""
+    """The ring Z2[w1..wk]/I for k-planes in n-space, with lazy degree ladders.
+
+    oriented() gives the characteristic subalgebra of the oriented double
+    cover as a ring of the same type over w2..wk; context names which one a
+    ring is.  Both vanish above the formal dimension N = k(n-k).
+    """
 
     def __init__(self, n: int, k: int, caps: SizeCaps = DEFAULT_CAPS):
         if not (k >= 3 and n >= 2 * k):
             raise ValueError(f"need n >= 2k >= 6, got (n, k) = ({n}, {k})")
+        N = k * (n - k)
+        if N > caps.max_formal_dim:
+            raise SizeCapExceeded(f"formal dimension {N} exceeds cap")
+        comps = inverse_series_components(k, n)
+        gens = tuple(comps[d] for d in range(n - k + 1, n + 1))
+        self._setup(n, k, caps, "unoriented", tuple(range(1, k + 1)), gens)
+
+    def _setup(
+        self,
+        n: int,
+        k: int,
+        caps: SizeCaps,
+        context: str,
+        weights: tuple[int, ...],
+        ideal_gens: tuple[Gf2Polynomial, ...],
+    ) -> None:
         self.n = n
         self.k = k
         self.N = k * (n - k)
-        if self.N > caps.max_formal_dim:
-            raise SizeCapExceeded(f"formal dimension {self.N} exceeds cap")
         self.caps = caps
-        self.weights = tuple(range(1, k + 1))
-        comps = inverse_series_components(k, n)
-        self.ideal_gens: tuple[Gf2Polynomial, ...] = tuple(
-            comps[d] for d in range(n - k + 1, n + 1)
-        )
-        self.quotient = GradedQuotient(self.weights, self.ideal_gens, caps)
-        self._oriented: OrientedContext | None = None
+        self.context = context
+        self.weights = weights
+        self.ideal_gens = ideal_gens
+        self.quotient = GradedQuotient(weights, ideal_gens, caps)
+        self._oriented: GrassmannPresentation | None = None
 
     def betti(self) -> list[int]:
         """Per-degree dimensions b_0..b_N of the quotient ring."""
@@ -238,70 +252,29 @@ class GrassmannPresentation:
     def normal_form(self, x: Gf2Polynomial) -> Gf2Polynomial:
         return self.quotient.normal_form(x)
 
-    def is_zero_in_quotient(self, x: Gf2Polynomial) -> bool:
-        if not x:
-            return True
-        d = x.homogeneous_degree()
-        if d is None:
-            raise ValueError("membership requires a homogeneous polynomial")
-        if d > self.N:
-            return True
-        return self.quotient.is_zero(x)
-
-    def oriented(self) -> "OrientedContext":
-        if self._oriented is None:
-            self._oriented = OrientedContext(self)
-        return self._oriented
-
-
-class OrientedContext:
-    """Characteristic subalgebra of the oriented double cover.
-
-    Computed as Z2[w2..wk] modulo the unoriented generators with w1 set to
-    zero; this realizes the quotient by I + (w1) on the w1-free monomials.
-    """
-
-    mode = "oriented"
-
-    def __init__(self, base: GrassmannPresentation):
-        # Only the unoriented weights are kept: a reference to base would form
-        # a cycle through base._oriented and leave both to the cyclic GC.
-        self.full_weights = base.weights
-        self.n = base.n
-        self.k = base.k
-        self.N = base.N
-        self.weights = tuple(range(2, base.k + 1))
-        reduced = [g.substitute_zero(1) for g in base.ideal_gens]
-        self.quotient = GradedQuotient(self.weights, reduced, base.caps)
-
-    def _embed(self, x: Gf2Polynomial) -> Gf2Polynomial:
-        """Accept input over w2..wk directly or over w1..wk with w1 absent."""
-        if x.weights == self.weights:
-            return x
-        if x.weights == self.full_weights:
-            if any(t.exps[0] for t in x.terms):
-                raise ValueError("oriented context requires zero w1 exponent")
-            return x.substitute_zero(1)
-        raise ValueError(f"polynomial over unexpected variable set {x.weights}")
-
-    def normal_form(self, x: Gf2Polynomial) -> Gf2Polynomial:
-        return self.quotient.normal_form(self._embed(x))
-
     def is_zero(self, x: Gf2Polynomial) -> bool:
-        x = self._embed(x)
+        """Whether a homogeneous class vanishes; every class above N does."""
+        if x.weights != self.weights:
+            raise ValueError("polynomial over a different variable set")
         if not x:
             return True
         d = x.homogeneous_degree()
         if d is None:
             raise ValueError("membership requires a homogeneous polynomial")
-        if d > self.N:
-            return True
-        return self.quotient.is_zero(x)
+        return d > self.N or self.quotient.is_zero(x)
 
-    def char_subalgebra_dims(self, max_degree: int | None = None) -> list[int]:
-        """Per-degree dimensions of the characteristic subalgebra."""
-        top = self.N if max_degree is None else max_degree
-        return [self.quotient.dim(d) for d in range(top + 1)]
+    def oriented(self) -> "GrassmannPresentation":
+        """Z2[w2..wk] modulo the generators with w1 set to zero, the quotient by I + (w1).
+
+        It keeps no reference back to this ring, so a finished ring is freed
+        by reference counting rather than by the cyclic garbage collector.
+        """
+        if self._oriented is None:
+            gens = tuple(g.substitute_zero(1) for g in self.ideal_gens)
+            ring = object.__new__(GrassmannPresentation)
+            ring._setup(self.n, self.k, self.caps, "oriented-characteristic", self.weights[1:], gens)
+            self._oriented = ring
+        return self._oriented
 
 
 def k3_reduced_quotient(n: int, caps: SizeCaps = DEFAULT_CAPS) -> GradedQuotient:
@@ -318,7 +291,7 @@ def k3_reduced_membership(n: int, x: Gf2Polynomial, caps: SizeCaps = DEFAULT_CAP
     d = x.homogeneous_degree()
     if d is None:
         raise ValueError("membership requires a homogeneous polynomial")
-    return k3_reduced_quotient(n, caps).contains(x)
+    return k3_reduced_quotient(n, caps).is_zero(x)
 
 
 def w1_adjoined_quotient(n: int, k: int, caps: SizeCaps = DEFAULT_CAPS) -> GradedQuotient:
@@ -330,7 +303,7 @@ def w1_adjoined_quotient(n: int, k: int, caps: SizeCaps = DEFAULT_CAPS) -> Grade
     return GradedQuotient(weights, gens, caps)
 
 
-def longest_monomial_product(ctx: OrientedContext) -> tuple[tuple[int, ...], int, int]:
+def longest_monomial_product(ctx: GrassmannPresentation) -> tuple[tuple[int, ...], int, int]:
     """Longest nonzero product of oriented classes, scored for the cup-length bound.
 
     Breadth-first walk over quotient classes: states are (degree, reduced

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf2poly import Gf2Polynomial
-from .grassmann import GrassmannPresentation, OrientedContext
+from .grassmann import GrassmannPresentation
 
 
 class ZeroClassError(ValueError):
@@ -59,27 +59,22 @@ def decompose_n(n: int) -> NDecomposition:
     return NDecomposition(n, s, "2^s+2^p+t+1", p=p, t=t)
 
 
-def height_direct(ctx, x: Gf2Polynomial) -> HeightRecord:
+def height_direct(ctx: GrassmannPresentation, x: Gf2Polynomial) -> HeightRecord:
     """Largest c with x^c nonzero in the quotient, by incremental reduced powers."""
-    if isinstance(ctx, GrassmannPresentation):
-        context = "unoriented"
-    elif isinstance(ctx, OrientedContext):
-        context = "oriented-characteristic"
-    else:
-        raise TypeError(f"unsupported context {type(ctx).__name__}")
     label = x.render()
     if not x.is_homogeneous() or not x:
         raise ValueError("height requires a nonzero homogeneous class")
     d = x.homogeneous_degree()
     if d == 0:
         raise ValueError("height requires a positive-degree class")
-    if isinstance(ctx, OrientedContext):
-        x = ctx._embed(x)
+    if x.weights != ctx.weights:
+        raise ValueError("polynomial over a different variable set")
     quotient = ctx.quotient
-    # x^c is kept as a reduced vector in degree c * d; the unit is the vector 1 in degree 0.
-    cur = quotient.times(1, 0, x)
+    # x^c is kept as a reduced vector in degree c * d; the unit is the vector 1
+    # in degree 0.  A class above the formal dimension is zero without a ladder.
+    cur = quotient.times(1, 0, x) if d <= ctx.N else 0
     if not cur:
-        raise ZeroClassError(f"{label} is zero in the {context} quotient for ({ctx.n}, {ctx.k})")
+        raise ZeroClassError(f"{label} is zero in the {ctx.context} quotient for ({ctx.n}, {ctx.k})")
     height = 1
     while (height + 1) * d <= ctx.N:
         cur = quotient.times(cur, height * d, x)
@@ -88,7 +83,7 @@ def height_direct(ctx, x: Gf2Polynomial) -> HeightRecord:
         height += 1
     return HeightRecord(
         class_label=label,
-        context=context,
+        context=ctx.context,
         n=ctx.n,
         k=ctx.k,
         height=height,

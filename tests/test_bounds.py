@@ -184,10 +184,10 @@ def test_report_product_sharpened_lower():
 
 
 def test_report_closed_form_only():
-    report = full_report(9, 3, with_computation=False)
-    assert (report.lower, report.upper) == (5, 8)
-    assert report.certificates == ()
-    assert report.cat_lower == 6
+    report = full_report(9, 3)
+    assert (report.paper_lower, report.paper_upper) == (5, 8)
+    assert (report.paper_lower_method, report.paper_upper_method) == ("B(c)", "D(b)")
+    assert report.paper_cat_lower == 6
 
 
 def test_report_q_override():

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, caching, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -73,6 +74,16 @@ def test_height_zero_class_exit(capsys):
     code, _, err = run(capsys, "height", "9", "3", "w2^5", "--oriented")
     assert code == EXIT_UNDEFINED
     assert "zero in the oriented-characteristic quotient" in err
+
+
+@pytest.mark.parametrize("oriented", [(), ("--oriented",)], ids=["unoriented", "oriented"])
+def test_height_above_formal_dimension_is_zero_class(capsys, oriented):
+    # Degree 402 is above the formal dimension 18, and above the degree cap 400 too.
+    code, out, err = run(capsys, "height", "9", "3", "w2^201", *oriented)
+    assert code == EXIT_UNDEFINED
+    assert out == ""
+    context = "oriented-characteristic" if oriented else "unoriented"
+    assert err == f"undefined query: w2^201 is zero in the {context} quotient for (9, 3)\n"
 
 
 def test_height_parse_error(capsys):
@@ -262,3 +273,47 @@ def test_q_override_validation(capsys):
     code, _, err = run(capsys, "bounds", "9", "3", "--q-override", "2")
     assert code == EXIT_USAGE
     assert "q-override" in err
+
+
+# sha256 of the empty string: the stream was not written to.
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+# (argv, exit code, sha256 of stdout, sha256 of stderr), captured before the
+# oriented ring became a GrassmannPresentation; any byte change fails here.
+GOLDEN_INVOCATIONS = [
+    (['ring', '9', '3', '--format', 'text'], 0, "432f775e0f085fba219f83a6e14a4dfc4fbaf95517765d1aca746999b188e0f1", EMPTY),
+    (['ideal-gens', '9', '3', '--format', 'text'], 0, "2fb713bdf200410456b8fcdc9e4e14242a4317013ac340f2c8e52b0ab9e6d728", EMPTY),
+    (['height', '9', '3', 'w2', '--format', 'text'], 0, "e8806f7a3f49b650ee760479efd059c4396da03562d9dc6cfb92c626735d6474", EMPTY),
+    (['height', '9', '3', 'w2', '--oriented', '--format', 'text'], 0, "d1a66433fc115afb69931a2c63e674cd9ba90686c8ee7c9c3b441320d61636e9", EMPTY),
+    (['bounds', '10', '4', '--field', 'both', '--format', 'text'], 0, "7f71cebd32d95984f68961dbded55ce862770f5ac537f4bbae51bb9d073a45a9", EMPTY),
+    (['sweep', '3', '6', '12', '--format', 'text'], 0, "b0eed9c3a11d85905f7c5c6ac7d2cf74e1f16305606ca223d31729d80f801e6a", EMPTY),
+    (['ring', '9', '3', '--format', 'json'], 0, "6c4b29a8f4969c8272821d3e5cb1e1876e36c4286389340acc1dbfb017b8d73e", EMPTY),
+    (['ideal-gens', '9', '3', '--format', 'json'], 0, "fe0b7134cf5f73fc67ab874c1c20ee5f98770cbd50dda2b1159733e15aba8d53", EMPTY),
+    (['height', '9', '3', 'w2', '--format', 'json'], 0, "82b7c84645f503732969fc48b9efef98a14a67407dbf665f4b2e78ce3a30b23e", EMPTY),
+    (['height', '9', '3', 'w2', '--oriented', '--format', 'json'], 0, "ae5f98075804e11d86e37d64b6f218c187d9169f717ba291f254c51edeef00f1", EMPTY),
+    (['bounds', '10', '4', '--field', 'both', '--format', 'json'], 0, "f752ebbb0d5d03c75688cb1f81f3d60d9bfd8393d0e605772df2d1157d00080c", EMPTY),
+    (['sweep', '3', '6', '12', '--format', 'json'], 0, "bb87d8d75fa3e49664da7532d1b80ce43654fd1d4064b0b090c8cb2837ebc220", EMPTY),
+    (['ring', '9', '3', '--format', 'csv'], 0, "aff8663f8392c8eebf12c7b212958049cdf6023e5342d094eb2e308c3ccf0e7c", EMPTY),
+    (['ideal-gens', '9', '3', '--format', 'csv'], 0, "632ee25ad74cd8809d13484d285cf0f9c555f019755b81c497a72fbc9e3a2413", EMPTY),
+    (['height', '9', '3', 'w2', '--format', 'csv'], 0, "6aba7b6c9ab03d8097df081a6edcf257c938f5483365aab84c353237745a8387", EMPTY),
+    (['height', '9', '3', 'w2', '--oriented', '--format', 'csv'], 0, "7c1fc98d22ce940e36b8df8f283455c728cbfa3448ff7775a69f0b30647e03f4", EMPTY),
+    (['bounds', '10', '4', '--field', 'both', '--format', 'csv'], 0, "77408aa01c3583386d067f00ad7ceb3a160e9eec562fe14cefaef05a482e24f2", EMPTY),
+    (['sweep', '3', '6', '12', '--format', 'csv'], 0, "f4521f68680ad733036aeca098152ccf6ad4c19e171a493e46d9d494abb7fb2e", EMPTY),
+    (['height', '9', '3', 'w1', '--oriented'], 3, EMPTY, "53910a93170a865576bebf59d68d495e51e35abcd8999621e0f674baa6ad536d"),
+    (['height', '10', '4', 'w2^2 + w4', '--oriented'], 0, "753d7846630130f7b30d9be0a4e0195027f8e2c37a1474303f4477042e0fa486", EMPTY),
+    (['bounds', '9', '3', '--field', 'rational'], 3, EMPTY, "9dda77b8acae46f407b074bd43a060aced37445b6a131343d514fa1e44e0ecb0"),
+    (['bounds', '9', '3', '--q-override', '4'], 0, "fc20c6ab3722f5128571b27278fe01c0a43e16bd9058ac0592473d89b0726ccb", EMPTY),
+    (['bounds', '9', '3'], 0, "20ec9a73728a911ebc6e9ccbbedf1774b88cf8ee3f4b7a7da89e58b247b438b5", EMPTY),
+    (['verify', '--only', 'lemma-f', '--max-n', '14'], 0, "6eb6b3dc07cc910ee5fd234d348b8f5b3a612d29f8cae4ae673ba6da80f466c6", EMPTY),
+    (['verify', '--max-n', '16'], 0, "374a753922c4f3ce89f4535fb0d65b2ad0c0a36b05bfd9932c6370d0d14f0661", EMPTY),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,out_sha,err_sha", GOLDEN_INVOCATIONS, ids=[" ".join(g[0]) for g in GOLDEN_INVOCATIONS]
+)
+def test_output_bytes_golden(capsys, argv, code, out_sha, err_sha):
+    got_code, out, err = run(capsys, *argv)
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == out_sha
+    assert hashlib.sha256(err.encode()).hexdigest() == err_sha

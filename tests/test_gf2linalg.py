@@ -5,14 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuplength.gf2linalg import (
-    BitMatrix,
-    Eliminator,
-    echelonize,
-    kernel_basis,
-    rank,
-    reduce_vector,
-)
+from cuplength.gf2linalg import Eliminator
 
 
 def naive_rank(rows: list[int]) -> int:
@@ -26,6 +19,15 @@ def naive_rank(rows: list[int]) -> int:
         rows = [r ^ pivot_row if r & pivot_bit else r for r in rows[1:]]
         rows = [r for r in rows if r]
     return count
+
+
+def finalized(rows: list[int]) -> Eliminator:
+    """An Eliminator holding the given rows, back-substituted."""
+    elim = Eliminator()
+    for r in rows:
+        elim.add(r)
+    elim.finalize()
+    return elim
 
 
 def span_of(rows: list[int]) -> set[int]:
@@ -67,51 +69,34 @@ def test_rank_against_naive_elimination_200x200():
     for trial in range(100):
         draws = rng.choice((1, 1, 2, 4))
         rows = [random_row(rng, 200, draws) for _ in range(200)]
-        m = BitMatrix(tuple(rows), 200)
-        assert rank(m) == naive_rank(rows), f"trial {trial}"
+        assert finalized(rows).rank == naive_rank(rows), f"trial {trial}"
 
 
 def test_spec_reduced_echelon_example():
-    m = BitMatrix((0b011, 0b110), 3)
-    basis = echelonize(m)
-    assert basis.pivots == (0, 1)
-    assert basis.rows == (0b101, 0b110)
+    assert finalized([0b011, 0b110]).pivot_rows() == {0: 0b101, 1: 0b110}
 
 
 @settings(max_examples=80)
 @given(st.lists(st.integers(0, 2**16 - 1), max_size=12))
 def test_reduced_echelon_shape(rows):
-    basis = echelonize(BitMatrix(tuple(rows), 16))
-    assert list(basis.pivots) == sorted(basis.pivots)
-    for i, row in enumerate(basis.rows):
-        assert row & (1 << basis.pivots[i])
-        for j, p in enumerate(basis.pivots):
-            if i != j:
-                assert not row & (1 << p), "pivot column not cleared"
+    pivot_rows = finalized(rows).pivot_rows()
+    for p, row in pivot_rows.items():
+        assert row & -row == 1 << p, "pivot is not the lowest set bit"
+        for q in pivot_rows:
+            if q != p:
+                assert not row & (1 << q), "pivot column not cleared"
 
 
 @settings(max_examples=80)
 @given(st.lists(st.integers(0, 2**12 - 1), max_size=10))
-def test_reduce_vector_fixed_point(rows):
-    basis = echelonize(BitMatrix(tuple(rows), 12))
+def test_reduce_fixed_point(rows):
+    elim = finalized(rows)
     for r in rows:
-        assert reduce_vector(r, basis) == 0
+        assert elim.reduce(r) == 0
     for v in range(0, 2**12, 173):
-        reduced = reduce_vector(v, basis)
-        assert reduce_vector(reduced, basis) == reduced
-        assert reduce_vector(v ^ reduced, basis) == 0
-
-
-@settings(max_examples=60)
-@given(st.lists(st.integers(0, 2**10 - 1), max_size=12))
-def test_kernel_rank_nullity(rows):
-    m = BitMatrix(tuple(rows), 10)
-    kernel = kernel_basis(m)
-    assert rank(m) + len(kernel) == 10
-    for kv in kernel:
-        for row in rows:
-            assert bin(row & kv).count("1") % 2 == 0
-    assert naive_rank(list(kernel)) == len(kernel)
+        reduced = elim.reduce(v)
+        assert elim.reduce(reduced) == reduced
+        assert elim.reduce(v ^ reduced) == 0
 
 
 def test_eliminator_add_reports_growth():
@@ -133,7 +118,6 @@ def test_finalize_idempotent_membership():
     elim.finalize()
     for v, was in before.items():
         assert elim.contains(v) == was
-    basis = elim.basis(20)
-    assert basis.rank == elim.rank
+    assert len(elim.pivot_rows()) == elim.rank
     for r in rows:
-        assert reduce_vector(r, basis) == 0
+        assert elim.reduce(r) == 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuplength.gf2poly import Gf2Polynomial
-from cuplength.grassmann import GrassmannPresentation, monomial_basis
+from cuplength.grassmann import GrassmannPresentation, SizeCaps, monomial_basis
 from cuplength.heights import (
     ZeroClassError,
     closed_form_w2_height,
@@ -146,6 +146,14 @@ def test_zero_class_raises():
     pres = GrassmannPresentation(6, 3)
     with pytest.raises(ZeroClassError):
         height_direct(pres, Gf2Polynomial(pres.weights, [(0, 2, 0)]) ** 3)
+
+
+def test_class_above_formal_dimension_is_zero_without_a_ladder():
+    # The degree cap equals the formal dimension 18, so building degree 20 would raise SizeCapExceeded.
+    pres = GrassmannPresentation(9, 3, SizeCaps(max_formal_dim=18))
+    for ctx in (pres, pres.oriented()):
+        with pytest.raises(ZeroClassError):
+            height_direct(ctx, w2(ctx.weights) ** 10)
 
 
 def test_height_requires_homogeneous_positive_degree():
