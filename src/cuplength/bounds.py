@@ -20,13 +20,7 @@ from .grassmann import (
     SizeCaps,
     longest_monomial_product,
 )
-from .heights import (
-    closed_form_w2_height,
-    decompose_n,
-    height_direct,
-    rational_p1_height,
-    tabulated_w2_height,
-)
+from .heights import decompose_n, height_direct, rational_p1_height
 
 
 @dataclass(frozen=True)
@@ -250,10 +244,26 @@ class OrientedSummary:
 
     @classmethod
     def from_record(cls, record: dict) -> "OrientedSummary":
+        """The summary a type-checked cache record holds, if its fields agree with each other."""
         n, k = record["n"], record["k"]
-        if len(record["betti"]) != k * (n - k) + 1:
-            raise ValueError(f"cache record for ({n}, {k}) needs {k * (n - k) + 1} Betti numbers")
+        N = k * (n - k)
+        where = f"cache record for ({n}, {k})"
+        betti = record["betti"]
+        if len(betti) != N + 1:
+            raise ValueError(f"{where} needs {N + 1} Betti numbers")
         exps, length, degree = record["longest_product"]
+        ht = record["ht_w2"]
+        if len(exps) != k - 1 or min(exps) < 0:
+            raise ValueError(f"{where}: the longest product needs {k - 1} nonnegative exponents")
+        if length != sum(exps):
+            raise ValueError(f"{where}: the longest product's length is not the sum of its exponents")
+        if degree != sum(w * e for w, e in zip(range(2, k + 1), exps)):
+            raise ValueError(f"{where}: the longest product's degree is not the degree of its exponents")
+        # Ranges first: betti[-1] is a valid index.
+        if not (0 <= degree <= N and betti[degree]):
+            raise ValueError(f"{where}: the longest product lies in degree {degree}, which has no classes")
+        if not (0 <= 2 * ht <= N and betti[2 * ht]):
+            raise ValueError(f"{where}: w2^{ht} lies in degree {2 * ht}, which has no classes")
         return cls(
             n=n,
             k=k,

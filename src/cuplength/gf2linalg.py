@@ -7,47 +7,48 @@ class Eliminator:
     """Incremental reduced-echelon accumulator over GF(2).
 
     Rows are added one at a time; each is reduced against the current pivots
-    and either absorbed (linearly dependent) or installed as a new pivot row.
-    finalize() back-substitutes so every pivot column appears in exactly one row.
+    until its lowest bit is a new pivot, then installed as it stands.  The
+    first reduce() or pivot_rows() after an add back-substitutes, so every
+    pivot column appears in exactly one row.
     """
 
-    __slots__ = ("_piv", "_final")
+    __slots__ = ("_piv", "_mask", "_final")
 
     def __init__(self):
         self._piv: dict[int, int] = {}
+        self._mask = 0
         self._final = True
 
     @property
     def rank(self) -> int:
         return len(self._piv)
 
-    def add(self, v: int) -> bool:
-        """Insert a vector; returns True if it enlarged the span."""
+    def add(self, v: int) -> int:
+        """Insert a vector; returns the row installed for it, or 0 if it was in the span."""
         piv = self._piv
         while v:
-            p = (v & -v).bit_length() - 1
+            low = v & -v
+            p = low.bit_length() - 1
             r = piv.get(p)
             if r is None:
                 piv[p] = v
+                self._mask |= low
                 self._final = False
-                return True
+                return v
             v ^= r
-        return False
+        return 0
 
     def reduce(self, v: int) -> int:
         """Normal form of v against the current rows (zero iff v is in the span)."""
+        if not self._final:
+            self.finalize()
         piv = self._piv
-        done = 0
-        while True:
-            pending = v >> done
-            if not pending:
-                return v
-            q = done + (pending & -pending).bit_length() - 1
-            r = piv.get(q)
-            if r is None:
-                done = q + 1
-            else:
-                v ^= r
+        hits = v & self._mask
+        while hits:
+            low = hits & -hits
+            v ^= piv[low.bit_length() - 1]
+            hits ^= low
+        return v
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
@@ -57,21 +58,20 @@ class Eliminator:
         if self._final:
             return
         piv = self._piv
+        mask = self._mask
+        # Higher pivots first: each row above p is already clear of every other
+        # pivot column, so one xor per pivot bit of the row finishes it.
         for p in sorted(piv, reverse=True):
-            v = piv[p]
-            tail = v ^ (1 << p)
-            acc = v
-            while tail:
-                low = tail & -tail
-                q = low.bit_length() - 1
-                tail ^= low
-                if q != p and (acc >> q) & 1:
-                    r = piv.get(q)
-                    if r is not None:
-                        acc ^= r
+            acc = piv[p]
+            hits = acc & mask ^ (1 << p)
+            while hits:
+                low = hits & -hits
+                acc ^= piv[low.bit_length() - 1]
+                hits ^= low
             piv[p] = acc
         self._final = True
 
     def pivot_rows(self) -> dict[int, int]:
-        """Snapshot of the pivot -> row map."""
+        """Snapshot of the pivot -> row map, back-substituted."""
+        self.finalize()
         return dict(self._piv)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .gf2linalg import Eliminator
@@ -61,7 +63,7 @@ def monomial_basis(weights: tuple[int, ...], degree: int) -> list[tuple[int, ...
     return out
 
 
-def _shifted(v: int, mapping: list[int]) -> int:
+def _shifted(v: int, mapping) -> int:
     """Image of a bit vector under a column map (bit j moves to bit mapping[j])."""
     out = 0
     while v:
@@ -74,43 +76,48 @@ def _shifted(v: int, mapping: list[int]) -> int:
 class GradedQuotient:
     """Z2[variables]/(homogeneous ideal), materialized one degree at a time.
 
-    Degree d of the ideal is spanned by the variable shifts of degree d - w_i
-    plus the generators of degree d; each degree keeps a finalized echelon so
-    normal forms are unique and the shifted rows stay sparse.
+    Degree d of the ideal is built as a signature ladder (matrix F5).  The row
+    of signature (t, j), t a monomial of degree d - deg g_j, is x_i times the
+    row of (t / x_i, j), x_i the last variable of t.  Rows reach the
+    eliminator in increasing signature order: generator j ascending, then t
+    from its highest column down, because a row's leading term is its lowest
+    bit.  So each installed row is only reduced by rows of smaller signature
+    and keeps its own, which makes it a valid source for the next degrees.  A
+    signature whose t is a leading term of (g_1..g_{j-1}) is skipped, since
+    its row would reduce to zero; for a regular sequence no other row does,
+    and regular_name (the ring's name, for the message) turns that into a
+    check.  Given top, the quotient is taken to vanish above that degree.
     """
 
-    def __init__(self, weights, generators, caps: SizeCaps = DEFAULT_CAPS):
+    def __init__(self, weights, generators, caps: SizeCaps = DEFAULT_CAPS, top=None, regular_name=None):
         self.weights = tuple(weights)
         self.caps = caps
+        self.top = top
+        self.regular_name = regular_name
         self.generators: tuple[Gf2Polynomial, ...] = tuple(g for g in generators if g)
-        self._gens_by_degree: dict[int, list[Gf2Polynomial]] = {}
+        self._gen_degrees: list[int] = []
         for g in self.generators:
             if g.weights != self.weights:
                 raise ValueError("generator over a different variable set")
             d = g.homogeneous_degree()
             if d is None:
                 raise ValueError("generators must be homogeneous and nonzero")
-            self._gens_by_degree.setdefault(d, []).append(g)
+            self._gen_degrees.append(d)
         self._bases: list[list[tuple[int, ...]]] = []
-        self._index: list[dict[tuple[int, ...], int]] = []
         self._elims: list[Eliminator] = []
-        self._shift_maps: dict[tuple[int, int], list[int]] = {}
-
-    def _shift_map(self, src_degree: int, pos: int) -> list[int]:
-        """Column map of multiplication by the variable at position pos."""
-        key = (src_degree, pos)
-        got = self._shift_maps.get(key)
-        if got is not None:
-            return got
-        dst_index = self._index[src_degree + self.weights[pos]]
-        mapping = []
-        for m in self._bases[src_degree]:
-            bumped = m[:pos] + (m[pos] + 1,) + m[pos + 1 :]
-            mapping.append(dst_index[bumped])
-        self._shift_maps[key] = mapping
-        return mapping
+        # Column maps of multiplication by each variable but the last: (source degree, position) -> map.
+        self._shift_maps: dict[tuple[int, int], array] = {}
+        # Monomial -> column, for the degree being built and for degrees _vectorize has read.
+        self._index: dict[int, dict[tuple[int, ...], int]] = {}
+        # Per degree and pivot column: 1 + the generator whose row installed it, else 0.
+        self._owner: list[bytearray] = []
+        # Signature rows of the last max(weights) degrees: per generator, the
+        # installed row of (t, j) by column of t, 0 where none was installed.
+        self._sig: dict[int, list[list[int] | None]] = {}
 
     def extend_to(self, degree: int) -> None:
+        if self.top is not None:
+            degree = min(degree, self.top)
         if degree > self.caps.max_formal_dim:
             raise SizeCapExceeded(
                 f"degree {degree} exceeds cap {self.caps.max_formal_dim}"
@@ -125,22 +132,86 @@ class GradedQuotient:
                 f"degree {d} basis has {len(basis)} monomials, cap {self.caps.max_basis}"
             )
         self._bases.append(basis)
-        self._index.append({m: i for i, m in enumerate(basis)})
+        index = self._index[d] = {m: i for i, m in enumerate(basis)}
+        for pos, w in enumerate(self.weights[:-1]):
+            if d >= w:
+                self._shift_maps[d - w, pos] = array(
+                    "I", [index[m[:pos] + (m[pos] + 1,) + m[pos + 1 :]] for m in self._bases[d - w]]
+                )
         elim = Eliminator()
-        for pos in range(len(self.weights)):
-            sd = d - self.weights[pos]
-            if sd < 0:
+        owner = bytearray(len(basis))
+        sig: list[list[int] | None] = []
+        for j, (g, dg) in enumerate(zip(self.generators, self._gen_degrees)):
+            te = d - dg
+            if te < 0:
+                sig.append(None)
                 continue
-            mapping = self._shift_map(sd, pos)
-            for _, row in sorted(self._elims[sd].pivot_rows().items()):
-                elim.add(_shifted(row, mapping))
-        for g in self._gens_by_degree.get(d, ()):
-            elim.add(self._vectorize(g, d))
-        elim.finalize()
+            rows = [0] * len(self._bases[te])
+            sig.append(rows)
+            todo = [(0, self._vectorize(g, d))] if te == 0 else self._signature_rows(d, j, te)
+            for tc, v in todo:
+                row = elim.add(v)
+                if row:
+                    rows[tc] = row
+                    owner[(row & -row).bit_length() - 1] = j + 1
+                elif self.regular_name is not None:
+                    raise RuntimeError(
+                        f"ring {self.regular_name}: a row of degree {d} from generator index {j} "
+                        "reduced to zero, so the generators are not a regular sequence"
+                    )
+        del self._index[d]
         self._elims.append(elim)
+        self._owner.append(owner)
+        self._sig[d] = sig
+        self._sig.pop(d - max(self.weights), None)
+        if d == self.top:
+            self._sig.clear()
+
+    def _signature_rows(self, d: int, j: int, te: int):
+        """(column of t, row) for the signatures (t, j) of degree d, in increasing order.
+
+        A zero entry in the source (skipped, or reduced to zero) has only
+        multiples that would reduce to zero as well, so it yields nothing.
+        """
+        owner = self._owner[te]
+        found = []
+        for pos, w in enumerate(self.weights):
+            se = te - w
+            if se < 0:
+                continue
+            src = self._sig[d - w][j]
+            tmap = self._column_map(se, pos)
+            # t / x_pos has no variable after x_pos: a prefix of the canonical basis.
+            limit = bisect_left(self._bases[se], True, key=lambda m: any(m[pos + 1 :]))
+            for c in range(limit):
+                r = src[c]
+                if r:
+                    tc = tmap[c]
+                    if not 0 < owner[tc] <= j:
+                        found.append((tc, r, pos))
+        found.sort(reverse=True)
+        for tc, r, pos in found:
+            yield tc, self._shift(r, d - self.weights[pos], pos)
+
+    def _column_map(self, degree: int, pos: int):
+        """Where multiplication by the variable at pos sends each column of the given degree."""
+        if pos < len(self.weights) - 1:
+            return self._shift_maps[degree, pos]
+        # The last variable maps degree e, in order, onto the suffix of
+        # degree e + w that holds it (the canonical order sorts on it first).
+        size = len(self._bases[degree + self.weights[pos]])
+        return range(size - len(self._bases[degree]), size)
+
+    def _shift(self, v: int, degree: int, pos: int) -> int:
+        """The vector v of the given degree times the variable at pos."""
+        if pos < len(self.weights) - 1:
+            return _shifted(v, self._shift_maps[degree, pos])
+        return v << self._column_map(degree, pos).start
 
     def _vectorize(self, poly: Gf2Polynomial, degree: int) -> int:
-        index = self._index[degree]
+        index = self._index.get(degree)
+        if index is None:
+            index = self._index[degree] = {m: i for i, m in enumerate(self._bases[degree])}
         v = 0
         for t in poly.terms:
             v |= 1 << index[t.exps]
@@ -155,19 +226,15 @@ class GradedQuotient:
             v ^= low
         return Gf2Polynomial(self.weights, terms)
 
-    def ambient_dim(self, degree: int) -> int:
-        self.extend_to(degree)
-        return len(self._bases[degree])
-
-    def ideal_rank(self, degree: int) -> int:
-        self.extend_to(degree)
-        return self._elims[degree].rank
+    def _vanishes(self, degree: int) -> bool:
+        return degree < 0 or (self.top is not None and degree > self.top)
 
     def dim(self, degree: int) -> int:
         """Dimension of the degree-d component of the quotient."""
-        if degree < 0:
+        if self._vanishes(degree):
             return 0
-        return self.ambient_dim(degree) - self.ideal_rank(degree)
+        self.extend_to(degree)
+        return len(self._bases[degree]) - self._elims[degree].rank
 
     def normal_form(self, poly: Gf2Polynomial) -> Gf2Polynomial:
         if poly.weights != self.weights:
@@ -177,6 +244,8 @@ class GradedQuotient:
         d = poly.homogeneous_degree()
         if d is None:
             raise ValueError("normal form requires a homogeneous polynomial")
+        if self._vanishes(d):
+            return Gf2Polynomial.zero(self.weights)
         self.extend_to(d)
         return self._devectorize(self._elims[d].reduce(self._vectorize(poly, d)), d)
 
@@ -196,13 +265,15 @@ class GradedQuotient:
         if dx is None:
             raise ValueError("multiplication requires a nonzero homogeneous polynomial")
         target = degree + dx
+        if self._vanishes(target):
+            return 0
         self.extend_to(target)
         acc = 0
         for t in x.terms:
             u, d = v, degree
             for pos, e in enumerate(t.exps):
                 for _ in range(e):
-                    u = _shifted(u, self._shift_map(d, pos))
+                    u = self._shift(u, d, pos)
                     d += self.weights[pos]
             acc ^= u
         return self._elims[target].reduce(acc)
@@ -242,7 +313,9 @@ class GrassmannPresentation:
         self.context = context
         self.weights = weights
         self.ideal_gens = ideal_gens
-        self.quotient = GradedQuotient(weights, ideal_gens, caps)
+        # Only the unoriented generators are a regular sequence (k of them in k variables).
+        regular_name = f"(n, k) = ({n}, {k})" if context == "unoriented" else None
+        self.quotient = GradedQuotient(weights, ideal_gens, caps, top=self.N, regular_name=regular_name)
         self._oriented: GrassmannPresentation | None = None
 
     def betti(self) -> list[int]:
@@ -250,18 +323,12 @@ class GrassmannPresentation:
         return [self.quotient.dim(d) for d in range(self.N + 1)]
 
     def normal_form(self, x: Gf2Polynomial) -> Gf2Polynomial:
+        """Normal form of a homogeneous class; zero above N without building the ladder."""
         return self.quotient.normal_form(x)
 
     def is_zero(self, x: Gf2Polynomial) -> bool:
         """Whether a homogeneous class vanishes; every class above N does."""
-        if x.weights != self.weights:
-            raise ValueError("polynomial over a different variable set")
-        if not x:
-            return True
-        d = x.homogeneous_degree()
-        if d is None:
-            raise ValueError("membership requires a homogeneous polynomial")
-        return d > self.N or self.quotient.is_zero(x)
+        return self.quotient.is_zero(x)
 
     def oriented(self) -> "GrassmannPresentation":
         """Z2[w2..wk] modulo the generators with w1 set to zero, the quotient by I + (w1).
@@ -316,7 +383,7 @@ def longest_monomial_product(ctx: GrassmannPresentation) -> tuple[tuple[int, ...
     quotient = ctx.quotient
     quotient.extend_to(ctx.N)
     elims = quotient._elims
-    shift_map = quotient._shift_map
+    shift = quotient._shift
     # The unit: degree 0 has the single basis monomial 1 and no ideal rows.
     frontier: dict[tuple[int, int], tuple[int, ...]] = {(0, 1): tuple(0 for _ in weights)}
     best_exps = tuple(0 for _ in weights)
@@ -335,7 +402,7 @@ def longest_monomial_product(ctx: GrassmannPresentation) -> tuple[tuple[int, ...
                 nd = d + w
                 if nd > ctx.N:
                     continue
-                nnf = elims[nd].reduce(_shifted(nf, shift_map(d, pos)))
+                nnf = elims[nd].reduce(shift(nf, d, pos))
                 if not nnf:
                     continue
                 nexps = exps[:pos] + (exps[pos] + 1,) + exps[pos + 1 :]

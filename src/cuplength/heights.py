@@ -72,7 +72,7 @@ def height_direct(ctx: GrassmannPresentation, x: Gf2Polynomial) -> HeightRecord:
     quotient = ctx.quotient
     # x^c is kept as a reduced vector in degree c * d; the unit is the vector 1
     # in degree 0.  A class above the formal dimension is zero without a ladder.
-    cur = quotient.times(1, 0, x) if d <= ctx.N else 0
+    cur = quotient.times(1, 0, x)
     if not cur:
         raise ZeroClassError(f"{label} is zero in the {ctx.context} quotient for ({ctx.n}, {ctx.k})")
     height = 1

@@ -188,12 +188,12 @@ def test_bounds_cache_poisoning_rejected(tmp_path, capsys):
     assert "cache" in err
 
 
-def _poison_record(capsys, cache, field, value):
+def _poison_record(capsys, cache, **changes):
     assert run(capsys, "bounds", "9", "3", "--cache-dir", cache)[0] == EXIT_OK
     path = os.path.join(cache, "gr_9_3_oriented.json")
     with open(path) as fh:
         record = json.load(fh)
-    record[field] = value
+    record.update(changes)
     with open(path, "w") as fh:
         json.dump(record, fh)
 
@@ -204,7 +204,7 @@ def _poison_record(capsys, cache, field, value):
 )
 def test_bounds_cache_malformed_field_rejected(tmp_path, capsys, field, value, message):
     cache = str(tmp_path)
-    _poison_record(capsys, cache, field, value)
+    _poison_record(capsys, cache, **{field: value})
     code, out, err = run(capsys, "bounds", "9", "3", "--cache-dir", cache)
     assert code == EXIT_USAGE
     assert out == ""
@@ -212,10 +212,33 @@ def test_bounds_cache_malformed_field_rejected(tmp_path, capsys, field, value, m
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        # The value poisonings of gr_9_3_oriented.json that used to exit 0 with a false report.
+        ({"ht_w2": 5, "longest_product": [[5, 0], 5, 10]}, "degree 10, which has no classes"),
+        ({"longest_product": [[4, 0], 4, -1]}, "not the degree of its exponents"),
+        ({"ht_w2": 9}, "w2^9 lies in degree 18, which has no classes"),
+        ({"longest_product": [[4], 4, 8]}, "needs 2 nonnegative exponents"),
+        ({"longest_product": [[5, -1], 4, 7]}, "needs 2 nonnegative exponents"),
+        ({"longest_product": [[4, 0], 3, 8]}, "length is not the sum"),
+        ({"ht_w2": -1}, "w2^-1 lies in degree -2"),
+    ],
+)
+def test_bounds_cache_inconsistent_record_rejected(tmp_path, capsys, changes, message):
+    cache = str(tmp_path)
+    _poison_record(capsys, cache, **changes)
+    code, out, err = run(capsys, "bounds", "9", "3", "--cache-dir", cache)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: cache record for (9, 3)") and message in err
+    assert len(err.splitlines()) == 1
+
+
 def test_bounds_failed_certificate_is_check_failure(tmp_path, capsys):
     # A record whose height is too small to carry the table certificate w2^4.
     cache = str(tmp_path)
-    _poison_record(capsys, cache, "ht_w2", 1)
+    _poison_record(capsys, cache, ht_w2=1)
     code, out, err = run(capsys, "bounds", "9", "3", "--cache-dir", cache)
     assert code == EXIT_CHECK
     assert out == ""

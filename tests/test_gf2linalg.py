@@ -121,3 +121,14 @@ def test_finalize_idempotent_membership():
     assert len(elim.pivot_rows()) == elim.rank
     for r in rows:
         assert elim.reduce(r) == 0
+
+
+def test_add_returns_installed_row_and_first_use_finalizes():
+    elim = Eliminator()
+    assert elim.add(0b011) == 0b011
+    # Reduced only until its lowest bit is a new pivot: 0b101 ^ 0b011.
+    assert elim.add(0b101) == 0b110
+    assert elim.add(0b110) == 0
+    # The first reduce back-substitutes: row 0 loses its bit in pivot column 1.
+    assert elim.reduce(0b010) == 0b100
+    assert elim.pivot_rows() == {0: 0b101, 1: 0b110}

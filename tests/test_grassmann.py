@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuplength.gf2poly import Gf2Polynomial, Monomial
+from cuplength.gf2poly import Gf2Polynomial
 from cuplength.grassmann import (
-    DEFAULT_CAPS,
     GrassmannPresentation,
     SizeCapExceeded,
     SizeCaps,
@@ -105,6 +104,16 @@ def test_membership_beyond_formal_dimension():
     pres = GrassmannPresentation(6, 3)
     big = Gf2Polynomial(pres.weights, [(0, 5, 0)])
     assert pres.is_zero(big)
+
+
+@pytest.mark.parametrize("oriented", [False, True])
+def test_normal_form_above_formal_dimension_is_zero_without_a_ladder(oriented):
+    pres = GrassmannPresentation(9, 3)
+    ring = pres.oriented() if oriented else pres
+    w2 = Gf2Polynomial.variable(ring.weights, 2)
+    assert ring.normal_form(w2**150) == Gf2Polynomial.zero(ring.weights)
+    assert not ring.normal_form(w2**201)
+    assert ring.quotient._bases == []
 
 
 def test_oriented_betti_golden():

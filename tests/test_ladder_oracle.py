@@ -1,0 +1,154 @@
+"""The signature (F5) ladder against the shift-everything ladder it replaced.
+
+Both build degree d of the ideal and finalize it; a subspace has exactly one
+reduced echelon form, so equal spans mean equal pivot rows, which is what the
+grid below asserts.  The regularity check and the zero-row bookkeeping of
+non-regular generator lists are pinned here too; CI also runs this file
+under python -O, where an assert-based check would vanish.
+"""
+
+import pytest
+
+import cuplength.grassmann as grassmann
+from cuplength.gf2linalg import Eliminator
+from cuplength.gf2poly import Gf2Polynomial
+from cuplength.grassmann import (
+    GradedQuotient,
+    GrassmannPresentation,
+    k3_reduced_quotient,
+    monomial_basis,
+    w1_adjoined_quotient,
+)
+
+
+def shift_bits(v: int, mapping: list[int]) -> int:
+    out = 0
+    while v:
+        low = v & -v
+        out |= 1 << mapping[low.bit_length() - 1]
+        v ^= low
+    return out
+
+
+def shift_everything_ladder(weights, generators, top: int) -> list[dict[int, int]]:
+    """The ladder as first written: degree d of the ideal is spanned by every
+    finalized pivot row of degree d - w_i times x_i, for every i, plus the
+    generators of degree d.  Returns the finalized pivot rows of each degree."""
+    bases, pivots = [], []
+    for d in range(top + 1):
+        basis = monomial_basis(weights, d)
+        index = {m: i for i, m in enumerate(basis)}
+        bases.append(basis)
+        elim = Eliminator()
+        for pos, w in enumerate(weights):
+            if d < w:
+                continue
+            mapping = [index[m[:pos] + (m[pos] + 1,) + m[pos + 1 :]] for m in bases[d - w]]
+            for _, row in sorted(pivots[d - w].items()):
+                elim.add(shift_bits(row, mapping))
+        for g in generators:
+            if g and g.homogeneous_degree() == d:
+                v = 0
+                for t in g.terms:
+                    v |= 1 << index[t.exps]
+                elim.add(v)
+        pivots.append(elim.pivot_rows())
+    return pivots
+
+
+RINGS = (
+    [(n, 3) for n in range(6, 21)]
+    + [(n, 4) for n in range(8, 15)]
+    + [(n, 5) for n in range(10, 14)]
+)
+
+
+def quotients(n: int, k: int):
+    pres = GrassmannPresentation(n, k)
+    yield "unoriented", pres.quotient
+    yield "oriented", pres.oriented().quotient
+    yield "w1-adjoined", w1_adjoined_quotient(n, k)
+    if k == 3:
+        yield "k3-closed-form", k3_reduced_quotient(n)
+
+
+@pytest.mark.parametrize("n,k", RINGS)
+def test_signature_ladder_matches_shift_everything_ladder(n, k):
+    N = k * (n - k)
+    for name, quotient in quotients(n, k):
+        oracle = shift_everything_ladder(quotient.weights, quotient.generators, N)
+        for d in range(N + 1):
+            assert quotient.dim(d) == len(monomial_basis(quotient.weights, d)) - len(oracle[d]), (name, d)
+            assert quotient._elims[d].pivot_rows() == oracle[d], (name, d)
+
+
+def test_last_variable_shift_is_a_plain_bit_shift():
+    quotient = GrassmannPresentation(10, 4).quotient
+    quotient.extend_to(24)
+    last = len(quotient.weights) - 1
+    for d in range(24 - quotient.weights[last] + 1):
+        bumped = [m[:last] + (m[last] + 1,) for m in quotient._bases[d]]
+        target = quotient._bases[d + quotient.weights[last]]
+        assert list(quotient._column_map(d, last)) == [target.index(m) for m in bumped]
+
+
+class CountingEliminator(Eliminator):
+    """An Eliminator that counts the rows it was given that reduced to zero."""
+
+    zero_rows = 0
+
+    def add(self, v: int) -> int:
+        row = super().add(v)
+        if not row:
+            CountingEliminator.zero_rows += 1
+        return row
+
+
+@pytest.mark.parametrize(
+    "n,k,kind,zero_rows",
+    [
+        (9, 3, "unoriented", 0),
+        (14, 5, "unoriented", 0),
+        (9, 3, "oriented", 2),
+        (9, 3, "w1-adjoined", 7),
+    ],
+)
+def test_zero_rows_only_where_the_generators_are_not_regular(monkeypatch, n, k, kind, zero_rows):
+    monkeypatch.setattr(grassmann, "Eliminator", CountingEliminator)
+    monkeypatch.setattr(CountingEliminator, "zero_rows", 0)
+    quotient = dict(quotients(n, k))[kind]
+    quotient.extend_to(k * (n - k))
+    assert CountingEliminator.zero_rows == zero_rows
+
+
+def test_zero_row_in_a_regular_ladder_raises():
+    # The oriented (9, 3) generators are three in two variables, not a
+    # regular sequence; declared regular, their first zero row must stop
+    # the build, naming the ring, the degree and the generator.
+    ctx = GrassmannPresentation(9, 3).oriented()
+    quotient = GradedQuotient(ctx.weights, ctx.ideal_gens, top=ctx.N, regular_name="(n, k) = (9, 3)")
+    with pytest.raises(RuntimeError, match=r"\(n, k\) = \(9, 3\): a row of degree 11 from generator index 2"):
+        quotient.extend_to(ctx.N)
+
+
+def test_unoriented_ring_declares_its_generators_regular():
+    pres = GrassmannPresentation(9, 3)
+    assert pres.quotient.regular_name == "(n, k) = (9, 3)"
+    assert pres.oriented().quotient.regular_name is None
+
+
+def test_signature_rows_are_dropped_once_the_top_degree_is_built():
+    pres = GrassmannPresentation(10, 4)
+    pres.betti()
+    assert pres.quotient._sig == {}
+    assert pres.quotient._index == {}
+    # Later reads build the index of the degree they touch, and only that one.
+    w2 = Gf2Polynomial.variable(pres.weights, 2)
+    assert pres.normal_form(w2**3)
+    assert set(pres.quotient._index) == {6}
+
+
+def test_signature_rows_kept_for_the_last_max_weight_degrees():
+    quotient = k3_reduced_quotient(9)
+    quotient.extend_to(12)
+    assert sorted(quotient._sig) == [10, 11, 12]
