@@ -50,9 +50,6 @@ class Eliminator:
             hits ^= low
         return v
 
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
-
     def finalize(self) -> None:
         """Back-substitute so no row has a bit in another row's pivot column."""
         if self._final:

@@ -13,8 +13,9 @@ import json
 import os
 import tempfile
 from array import array
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .gf2linalg import Eliminator
 from .gf2poly import Gf2Polynomial, ideal_gens_k3, inverse_series_components
@@ -63,13 +64,21 @@ def monomial_basis(weights: tuple[int, ...], degree: int) -> list[tuple[int, ...
     return out
 
 
-def _shifted(v: int, mapping) -> int:
-    """Image of a bit vector under a column map (bit j moves to bit mapping[j])."""
+def _shifted(v: int, starts, targets) -> int:
+    """Image of a bit vector under a block table, one block at a time.
+
+    Block i holds the columns from starts[i] up to the next block's start (the
+    last one up to the end of the degree) and moves them, in order, to the
+    columns from targets[i] on.  Each step takes the bits of v from the start
+    of the block that holds its highest set bit, moves them together and
+    clears them, so only blocks that hold a bit are visited.
+    """
     out = 0
     while v:
-        low = v & -v
-        out |= 1 << mapping[low.bit_length() - 1]
-        v ^= low
+        i = bisect_right(starts, v.bit_length() - 1) - 1
+        s = starts[i]
+        out |= v >> s << targets[i]
+        v &= (1 << s) - 1
     return out
 
 
@@ -105,9 +114,13 @@ class GradedQuotient:
             self._gen_degrees.append(d)
         self._bases: list[list[tuple[int, ...]]] = []
         self._elims: list[Eliminator] = []
-        # Column maps of multiplication by each variable but the last: (source degree, position) -> map.
-        self._shift_maps: dict[tuple[int, int], array] = {}
-        # Monomial -> column, for the degree being built and for degrees _vectorize has read.
+        # Per variable position p and degree r: the number of monomials of
+        # degree r in the variables up to p.
+        self._counts: list[list[int]] = [[] for _ in self.weights]
+        # Block tables of multiplication by each variable: (source degree, position) -> (starts, targets).
+        self._blocks: dict[tuple[int, int], tuple[array, array]] = {}
+        # Monomial -> column, for the degrees _vectorize has read; a degree's
+        # build drops the one its generators needed.
         self._index: dict[int, dict[tuple[int, ...], int]] = {}
         # Per degree and pivot column: 1 + the generator whose row installed it, else 0.
         self._owner: list[bytearray] = []
@@ -132,12 +145,7 @@ class GradedQuotient:
                 f"degree {d} basis has {len(basis)} monomials, cap {self.caps.max_basis}"
             )
         self._bases.append(basis)
-        index = self._index[d] = {m: i for i, m in enumerate(basis)}
-        for pos, w in enumerate(self.weights[:-1]):
-            if d >= w:
-                self._shift_maps[d - w, pos] = array(
-                    "I", [index[m[:pos] + (m[pos] + 1,) + m[pos + 1 :]] for m in self._bases[d - w]]
-                )
+        self._add_block_tables(d)
         elim = Eliminator()
         owner = bytearray(len(basis))
         sig: list[list[int] | None] = []
@@ -159,13 +167,50 @@ class GradedQuotient:
                         f"ring {self.regular_name}: a row of degree {d} from generator index {j} "
                         "reduced to zero, so the generators are not a regular sequence"
                     )
-        del self._index[d]
+        self._index.pop(d, None)
         self._elims.append(elim)
         self._owner.append(owner)
         self._sig[d] = sig
         self._sig.pop(d - max(self.weights), None)
         if d == self.top:
             self._sig.clear()
+
+    def _add_block_tables(self, d: int) -> None:
+        """Block tables of multiplication by each variable into degree d.
+
+        In the canonical order, the columns of a degree that share the
+        exponents of the variables after x_p form one contiguous block, and
+        the blocks come in the canonical order of those later exponents.  x_p
+        sends a block, in order, onto the tail of the block with the same
+        later exponents one degree w_p up: the monomials of that block with
+        x_p in them.  A block's length is a monomial count over the variables
+        up to x_p, so the tables follow from _counts alone.
+        """
+        weights = self.weights
+        for p, w in enumerate(weights):
+            counts = self._counts[p]
+            below = self._counts[p - 1][d] if p else int(d == 0)
+            counts.append(below + (counts[d - w] if d >= w else 0))
+        # Degrees left to the variables up to p, one per nonempty block of
+        # degree d, in canonical order.
+        rests = [d]
+        for p in range(len(weights) - 1, -1, -1):
+            w = weights[p]
+            counts = self._counts[p]
+            if d >= w:
+                starts, targets = array("I"), array("I")
+                start = end = 0
+                for r in rests:
+                    end += counts[r]
+                    n = counts[r - w] if r >= w else 0
+                    if n:
+                        starts.append(start)
+                        targets.append(end - n)
+                        start += n
+                self._blocks[d - w, p] = (starts, targets)
+            if p:
+                below = self._counts[p - 1]
+                rests = [s for r in rests for s in range(r, -1, -w) if below[s]]
 
     def _signature_rows(self, d: int, j: int, te: int):
         """(column of t, row) for the signatures (t, j) of degree d, in increasing order.
@@ -180,33 +225,25 @@ class GradedQuotient:
             if se < 0:
                 continue
             src = self._sig[d - w][j]
-            tmap = self._column_map(se, pos)
-            # t / x_pos has no variable after x_pos: a prefix of the canonical basis.
-            limit = bisect_left(self._bases[se], True, key=lambda m: any(m[pos + 1 :]))
+            # t / x_pos has no variable after x_pos: the block of degree se
+            # whose later exponents are all zero, first if it is not empty.
+            limit = self._counts[pos][se]
+            if not limit:
+                continue
+            offset = self._blocks[se, pos][1][0]
             for c in range(limit):
                 r = src[c]
                 if r:
-                    tc = tmap[c]
+                    tc = c + offset
                     if not 0 < owner[tc] <= j:
                         found.append((tc, r, pos))
         found.sort(reverse=True)
         for tc, r, pos in found:
             yield tc, self._shift(r, d - self.weights[pos], pos)
 
-    def _column_map(self, degree: int, pos: int):
-        """Where multiplication by the variable at pos sends each column of the given degree."""
-        if pos < len(self.weights) - 1:
-            return self._shift_maps[degree, pos]
-        # The last variable maps degree e, in order, onto the suffix of
-        # degree e + w that holds it (the canonical order sorts on it first).
-        size = len(self._bases[degree + self.weights[pos]])
-        return range(size - len(self._bases[degree]), size)
-
     def _shift(self, v: int, degree: int, pos: int) -> int:
         """The vector v of the given degree times the variable at pos."""
-        if pos < len(self.weights) - 1:
-            return _shifted(v, self._shift_maps[degree, pos])
-        return v << self._column_map(degree, pos).start
+        return _shifted(v, *self._blocks[degree, pos])
 
     def _vectorize(self, poly: Gf2Polynomial, degree: int) -> int:
         index = self._index.get(degree)
@@ -358,7 +395,13 @@ def k3_reduced_membership(n: int, x: Gf2Polynomial, caps: SizeCaps = DEFAULT_CAP
     d = x.homogeneous_degree()
     if d is None:
         raise ValueError("membership requires a homogeneous polynomial")
-    return k3_reduced_quotient(n, caps).is_zero(x)
+    return _last_k3_quotient(n, caps).is_zero(x)
+
+
+@lru_cache(maxsize=1)
+def _last_k3_quotient(n: int, caps: SizeCaps) -> GradedQuotient:
+    """The quotient of the last membership call, kept for the next call on the same n."""
+    return k3_reduced_quotient(n, caps)
 
 
 def w1_adjoined_quotient(n: int, k: int, caps: SizeCaps = DEFAULT_CAPS) -> GradedQuotient:

@@ -1,0 +1,113 @@
+"""Block shifts against the per-bit column-map loop they replaced.
+
+GradedQuotient._shift multiplies a row by a variable one block of columns at
+a time, reading block tables derived from monomial counts.  The reference here
+is the loop the ladder used before: one set bit at a time through a column
+map looked up in monomial_basis.  CI also runs this file under python -O.
+"""
+
+import random
+from bisect import bisect_left
+from functools import cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cuplength.grassmann import (
+    GrassmannPresentation,
+    k3_reduced_quotient,
+    monomial_basis,
+    w1_adjoined_quotient,
+)
+
+# Tables are checked for every source degree d and variable x_p with d + w_p <= TOP.
+TOP = 16
+
+QUOTIENTS = {
+    "unoriented (1, 2, 3)": lambda: GrassmannPresentation(12, 3).quotient,
+    "unoriented (1, ..., 5)": lambda: GrassmannPresentation(10, 5).quotient,
+    "oriented (2, 3, 4)": lambda: GrassmannPresentation(10, 4).oriented().quotient,
+    "oriented (2, ..., 6)": lambda: GrassmannPresentation(12, 6).oriented().quotient,
+    "w1-adjoined (1, ..., 4)": lambda: w1_adjoined_quotient(10, 4),
+    "closed form (2, 3)": lambda: k3_reduced_quotient(12),
+}
+
+
+def shift_bits(v: int, mapping) -> int:
+    """The per-bit loop: bit j moves to bit mapping[j]."""
+    out = 0
+    while v:
+        low = v & -v
+        out |= 1 << mapping[low.bit_length() - 1]
+        v ^= low
+    return out
+
+
+def column_map(weights, degree: int, pos: int) -> list[int]:
+    """Where multiplication by the variable at pos sends each column of the degree."""
+    target = monomial_basis(weights, degree + weights[pos])
+    index = {m: i for i, m in enumerate(target)}
+    return [index[m[:pos] + (m[pos] + 1,) + m[pos + 1 :]] for m in monomial_basis(weights, degree)]
+
+
+@cache
+def built(kind: str):
+    quotient = QUOTIENTS[kind]()
+    quotient.extend_to(TOP)
+    return quotient
+
+
+def shifts(quotient):
+    """Every (source degree, variable position) whose table the build made."""
+    return [(d, pos) for pos, w in enumerate(quotient.weights) for d in range(TOP - w + 1)]
+
+
+def random_row(rng: random.Random, width: int, density: float) -> int:
+    v = 0
+    for c in range(width):
+        if rng.random() < density:
+            v |= 1 << c
+    return v
+
+
+@pytest.mark.parametrize("kind", sorted(QUOTIENTS))
+def test_block_shift_matches_per_bit_loop_on_every_degree_and_variable(kind):
+    quotient = built(kind)
+    rng = random.Random(kind)
+    for d, pos in shifts(quotient):
+        mapping = column_map(quotient.weights, d, pos)
+        width = len(mapping)
+        rows = [0, (1 << width) - 1] + [1 << c for c in range(width)]
+        rows += [random_row(rng, width, density) for density in (0.05, 0.25, 0.5, 0.75, 0.95)]
+        for v in rows:
+            assert quotient._shift(v, d, pos) == shift_bits(v, mapping), (d, pos, v)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_block_shift_matches_per_bit_loop_on_random_rows(data):
+    quotient = built(data.draw(st.sampled_from(sorted(QUOTIENTS))))
+    d, pos = data.draw(st.sampled_from(shifts(quotient)))
+    mapping = column_map(quotient.weights, d, pos)
+    density = data.draw(st.floats(0, 1))
+    v = random_row(random.Random(data.draw(st.integers(0, 2**32))), len(mapping), density)
+    assert quotient._shift(v, d, pos) == shift_bits(v, mapping)
+
+
+@pytest.mark.parametrize("kind", sorted(QUOTIENTS))
+def test_block_tables_have_one_block_per_later_exponent_vector(kind):
+    quotient = built(kind)
+    for d, pos in shifts(quotient):
+        basis = monomial_basis(quotient.weights, d)
+        starts, targets = quotient._blocks[d, pos]
+        later = [m[pos + 1 :] for m in basis]
+        assert list(starts) == [c for c in range(len(basis)) if c == 0 or later[c] != later[c - 1]]
+        mapping = column_map(quotient.weights, d, pos)
+        assert list(targets) == [mapping[c] for c in starts]
+        # The first block, the monomials with no variable after x_pos, is
+        # what the signature ladder reads; it used to be found by bisection.
+        limit = bisect_left(basis, True, key=lambda m: any(m[pos + 1 :]))
+        assert quotient._counts[pos][d] == limit
+        if limit:
+            assert (starts[1] if len(starts) > 1 else len(basis)) == limit

@@ -7,6 +7,8 @@ non-regular generator lists are pinned here too; CI also runs this file
 under python -O, where an assert-based check would vanish.
 """
 
+from array import array
+
 import pytest
 
 import cuplength.grassmann as grassmann
@@ -89,7 +91,12 @@ def test_last_variable_shift_is_a_plain_bit_shift():
     for d in range(24 - quotient.weights[last] + 1):
         bumped = [m[:last] + (m[last] + 1,) for m in quotient._bases[d]]
         target = quotient._bases[d + quotient.weights[last]]
-        assert list(quotient._column_map(d, last)) == [target.index(m) for m in bumped]
+        start = len(target) - len(bumped)
+        # One block: every column of degree d moves by the same offset.
+        assert quotient._blocks[d, last] == (array("I", [0]), array("I", [start]))
+        assert [target.index(m) for m in bumped] == list(range(start, len(target)))
+        full = (1 << len(bumped)) - 1
+        assert quotient._shift(full, d, last) == full << start
 
 
 class CountingEliminator(Eliminator):
