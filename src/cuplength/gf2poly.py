@@ -163,9 +163,6 @@ class Gf2Polynomial:
         degrees = {t.degree for t in self.terms}
         return degrees.pop() if len(degrees) == 1 else None
 
-    def truncate(self, max_degree: int) -> "Gf2Polynomial":
-        return Gf2Polynomial(self.weights, [t for t in self.terms if t.degree <= max_degree])
-
     def substitute_zero(self, weight: int) -> "Gf2Polynomial":
         """Set the variable of the given weight to zero, dropping it from the ring."""
         if weight not in self.weights:

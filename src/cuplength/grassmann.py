@@ -291,29 +291,43 @@ class GradedQuotient:
         return not self.normal_form(poly)
 
     def times(self, v: int, degree: int, x: Gf2Polynomial) -> int:
-        """Reduced vector of the class v (a vector in the given degree) times x.
-
-        Each term of x is applied as a chain of variable shifts; the images
-        are summed and reduced once, in degree + deg(x).
-        """
-        if x.weights != self.weights:
-            raise ValueError("polynomial over a different variable set")
-        dx = x.homogeneous_degree()
-        if dx is None:
-            raise ValueError("multiplication requires a nonzero homogeneous polynomial")
-        target = degree + dx
+        """Reduced vector of the class v (a vector in the given degree) times x."""
+        target = product_degree(self.weights, degree, x)
         if self._vanishes(target):
             return 0
         self.extend_to(target)
-        acc = 0
-        for t in x.terms:
-            u, d = v, degree
-            for pos, e in enumerate(t.exps):
-                for _ in range(e):
-                    u = self._shift(u, d, pos)
-                    d += self.weights[pos]
-            acc ^= u
-        return self._elims[target].reduce(acc)
+        return self._elims[target].reduce(term_products(x, v, degree, self._shift))
+
+
+def product_degree(weights: tuple[int, ...], degree: int, x: Gf2Polynomial) -> int:
+    """Degree of a class of the given degree times x, checked to be homogeneous over weights."""
+    if x.weights != weights:
+        raise ValueError("polynomial over a different variable set")
+    dx = x.homogeneous_degree()
+    if dx is None:
+        raise ValueError("multiplication requires a nonzero homogeneous polynomial")
+    return degree + dx
+
+
+def term_products(x: Gf2Polynomial, v: int, degree: int, shift) -> int:
+    """Sum over the terms of x of v times the term, each a chain of shift(vector, degree, position)."""
+    acc = 0
+    for t in x.terms:
+        u, d = v, degree
+        for pos, e in enumerate(t.exps):
+            for _ in range(e):
+                u, d = shift(u, d, pos), d + x.weights[pos]
+        acc ^= u
+    return acc
+
+
+def formal_dimension(n: int, k: int, caps: SizeCaps) -> int:
+    """N = k(n - k), refused unless n >= 2k >= 6 and N is within the cap."""
+    if not (k >= 3 and n >= 2 * k):
+        raise ValueError(f"need n >= 2k >= 6, got (n, k) = ({n}, {k})")
+    if k * (n - k) > caps.max_formal_dim:
+        raise SizeCapExceeded(f"formal dimension {k * (n - k)} exceeds cap")
+    return k * (n - k)
 
 
 class GrassmannPresentation:
@@ -325,19 +339,16 @@ class GrassmannPresentation:
     """
 
     def __init__(self, n: int, k: int, caps: SizeCaps = DEFAULT_CAPS):
-        if not (k >= 3 and n >= 2 * k):
-            raise ValueError(f"need n >= 2k >= 6, got (n, k) = ({n}, {k})")
-        N = k * (n - k)
-        if N > caps.max_formal_dim:
-            raise SizeCapExceeded(f"formal dimension {N} exceeds cap")
+        N = formal_dimension(n, k, caps)
         comps = inverse_series_components(k, n)
         gens = tuple(comps[d] for d in range(n - k + 1, n + 1))
-        self._setup(n, k, caps, "unoriented", tuple(range(1, k + 1)), gens)
+        self._setup(n, k, N, caps, "unoriented", tuple(range(1, k + 1)), gens)
 
     def _setup(
         self,
         n: int,
         k: int,
+        N: int,
         caps: SizeCaps,
         context: str,
         weights: tuple[int, ...],
@@ -345,7 +356,7 @@ class GrassmannPresentation:
     ) -> None:
         self.n = n
         self.k = k
-        self.N = k * (n - k)
+        self.N = N
         self.caps = caps
         self.context = context
         self.weights = weights
@@ -353,6 +364,7 @@ class GrassmannPresentation:
         # Only the unoriented generators are a regular sequence (k of them in k variables).
         regular_name = f"(n, k) = ({n}, {k})" if context == "unoriented" else None
         self.quotient = GradedQuotient(weights, ideal_gens, caps, top=self.N, regular_name=regular_name)
+        self.times = self.quotient.times  # the height loop's product, as SchubertRing.times
         self._oriented: GrassmannPresentation | None = None
 
     def betti(self) -> list[int]:
@@ -376,7 +388,7 @@ class GrassmannPresentation:
         if self._oriented is None:
             gens = tuple(g.substitute_zero(1) for g in self.ideal_gens)
             ring = object.__new__(GrassmannPresentation)
-            ring._setup(self.n, self.k, self.caps, "oriented-characteristic", self.weights[1:], gens)
+            ring._setup(self.n, self.k, self.N, self.caps, "oriented-characteristic", self.weights[1:], gens)
             self._oriented = ring
         return self._oriented
 

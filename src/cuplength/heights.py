@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 from .gf2poly import Gf2Polynomial
 from .grassmann import GrassmannPresentation
+from .schubert import SchubertRing
 
 
 class ZeroClassError(ValueError):
@@ -59,25 +60,22 @@ def decompose_n(n: int) -> NDecomposition:
     return NDecomposition(n, s, "2^s+2^p+t+1", p=p, t=t)
 
 
-def height_direct(ctx: GrassmannPresentation, x: Gf2Polynomial) -> HeightRecord:
-    """Largest c with x^c nonzero in the quotient, by incremental reduced powers."""
+def height_direct(ctx: GrassmannPresentation | SchubertRing, x: Gf2Polynomial) -> HeightRecord:
+    """Largest c with x^c nonzero in the ring, by incremental powers through ctx.times."""
     label = x.render()
     if not x.is_homogeneous() or not x:
         raise ValueError("height requires a nonzero homogeneous class")
     d = x.homogeneous_degree()
     if d == 0:
         raise ValueError("height requires a positive-degree class")
-    if x.weights != ctx.weights:
-        raise ValueError("polynomial over a different variable set")
-    quotient = ctx.quotient
-    # x^c is kept as a reduced vector in degree c * d; the unit is the vector 1
-    # in degree 0.  A class above the formal dimension is zero without a ladder.
-    cur = quotient.times(1, 0, x)
+    # x^c is kept as a vector in degree c * d; the unit is the vector 1 in
+    # degree 0.  A class above the formal dimension is zero without a ladder.
+    cur = ctx.times(1, 0, x)
     if not cur:
         raise ZeroClassError(f"{label} is zero in the {ctx.context} quotient for ({ctx.n}, {ctx.k})")
     height = 1
     while (height + 1) * d <= ctx.N:
-        cur = quotient.times(cur, height * d, x)
+        cur = ctx.times(cur, height * d, x)
         if not cur:
             break
         height += 1

@@ -1,4 +1,17 @@
-"""Shared fixtures and the acceptance-criteria terminal summary."""
+"""Shared test helpers and the acceptance-criteria terminal summary.
+
+The helpers import the package when called, so that a module which fails to
+import fails only the tests that use it, not the loading of this file.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from cuplength.gf2linalg import Eliminator
+    from cuplength.gf2poly import Gf2Polynomial
+    from cuplength.schubert import SchubertRing
 
 CRITERIA = {
     1: "generator identities for n = 6 and n = 9 at k = 3",
@@ -38,3 +51,31 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         else:
             status = "FAIL (did not complete)"
         terminalreporter.write_line(f"ACCEPTANCE {number:02d} {status}: {CRITERIA[number]}")
+
+
+def w1_images(ring: SchubertRing) -> list[Eliminator]:
+    """Per degree d, an Eliminator over w1 times each Schubert class of degree d - 1.
+
+    The pullback to the oriented double cover kills exactly w1 H*, so its
+    image, the oriented characteristic subalgebra, is the cokernel of w1.
+    """
+    from cuplength.gf2linalg import Eliminator
+    from cuplength.gf2poly import Gf2Polynomial
+
+    w1 = Gf2Polynomial.variable(ring.weights, 1)
+    elims = [Eliminator()]
+    for d in range(1, ring.N + 1):
+        elim = Eliminator()
+        for c in range(ring._counts[d - 1]):
+            elim.add(ring.times(1 << c, d - 1, w1))
+        elims.append(elim)
+    return elims
+
+
+def cokernel_is_zero(ring: SchubertRing, elims: list[Eliminator], x: Gf2Polynomial) -> bool:
+    """Whether a polynomial in w2..wk is zero in the oriented ring, by the cokernel of w1."""
+    from cuplength.gf2poly import Gf2Polynomial
+
+    full = Gf2Polynomial(ring.weights, [(0,) + t.exps for t in x.terms])
+    d = x.homogeneous_degree()
+    return d > ring.N or not elims[d].reduce(ring.times(1, 0, full))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -84,6 +85,36 @@ def test_height_above_formal_dimension_is_zero_class(capsys, oriented):
     assert out == ""
     context = "oriented-characteristic" if oriented else "unoriented"
     assert err == f"undefined query: w2^201 is zero in the {context} quotient for (9, 3)\n"
+
+
+def test_height_over_the_degree_cap_is_refused_before_work(capsys):
+    code, out, err = run(capsys, "height", "9", "3", "w2", "--max-degree", "10")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "size cap exceeded: formal dimension 18 exceeds cap\n"
+
+
+def test_unoriented_height_of_a_large_ring_is_answered():
+    # The unoriented ladder of (24, 8) runs out of memory; the Schubert route
+    # touches only the partitions that the powers of w2 reach.  A 1 GiB
+    # address-space limit keeps a regression from taking the machine's memory.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cuplength.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cuplength.cli", "height", "24", "8", "w2"],
+        capture_output=True,
+        env=env,
+        preexec_fn=limit,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr.decode()[-300:]
+    assert proc.stdout.decode() == (
+        "height of w2 in unoriented (24, 8): 31\n"
+        "witness: power 31 nonzero in degree 62; power 32 zero\n"
+        "closed form: 31 (AGREE)\n"
+    )
 
 
 def test_height_parse_error(capsys):

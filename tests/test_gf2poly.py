@@ -61,7 +61,8 @@ def test_series_inverse_is_inverse():
         series = Gf2Polynomial.one(weights)
         for w in weights:
             series = series + Gf2Polynomial.variable(weights, w)
-        assert (series * total).truncate(12) == Gf2Polynomial.one(weights)
+        low = [t for t in (series * total).terms if t.degree <= 12]
+        assert Gf2Polynomial(weights, low) == Gf2Polynomial.one(weights)
 
 
 def test_lucas_parity_small_table():

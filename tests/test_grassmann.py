@@ -21,6 +21,9 @@ from cuplength.grassmann import (
     save_record,
     w1_adjoined_quotient,
 )
+from cuplength.schubert import SchubertRing
+
+from conftest import cokernel_is_zero, w1_images
 
 
 def gaussian_binomial_betti(n: int, k: int) -> list[int]:
@@ -90,6 +93,13 @@ def test_two_route_membership_higher_k(n, k):
             x = Gf2Polynomial(weights, [exps])
             full = Gf2Polynomial(full_weights, [(0,) + exps])
             assert ctx.is_zero(x) == adjoined.is_zero(full), (n, k, exps)
+    # Third route, over the full degree range: the cokernel of w1 on the Schubert basis.
+    ring = SchubertRing(n, k)
+    elims = w1_images(ring)
+    for degree in range(2, pres.N + 1):
+        for exps in monomial_basis(weights, degree):
+            x = Gf2Polynomial(weights, [exps])
+            assert ctx.is_zero(x) == cokernel_is_zero(ring, elims, x), (n, k, exps)
 
 
 def test_ideal_inclusion_is_monotone_in_n():
