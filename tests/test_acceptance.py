@@ -1,8 +1,10 @@
 """The eleven primary acceptance criteria, exact values, zero tolerance.
 
-Criteria run in order; presentations built along the way are retained in a
-module registry so the structural criterion can audit every ring the earlier
-criteria touched.
+A criterion that anchors the same values as one of `verify`'s checks runs that
+check from `cuplength.checks` and requires every line to pass; the criteria
+add their independent oracles on top.  Criteria run in order; presentations
+built along the way are retained in a module registry so the structural
+criterion can audit every ring the earlier criteria touched.
 """
 
 import math
@@ -11,30 +13,16 @@ import time
 
 import pytest
 
-from cuplength.bounds import (
-    NilpotencyData,
-    PoincareProfile,
-    full_report,
-    lower_a3,
-    prop_b_certificate,
-    prop_b_lower,
-    prop_d_upper,
-    summarize_oriented,
-    upper_a1,
-    upper_b1,
-)
+from cuplength import checks
+from cuplength.bounds import NilpotencyData, PoincareProfile, lower_a3, rational_bounds, upper_b1
 from cuplength.gf2linalg import Eliminator
-from cuplength.gf2poly import (
-    Gf2Polynomial,
-    ideal_gens_k3,
-    inverse_series_components,
-)
+from cuplength.gf2poly import Gf2Polynomial
 from cuplength.grassmann import (
     GrassmannPresentation,
     k3_reduced_membership,
     w1_adjoined_quotient,
 )
-from cuplength.heights import closed_form_w2_height, height_direct, tabulated_w2_height
+from cuplength.heights import closed_form_w2_height, height_direct
 
 from conftest import record_criterion
 
@@ -86,28 +74,37 @@ def finish(number: int, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {number} failed {detail}"
 
 
+def failing(name: str) -> list[tuple[str, bool, str]]:
+    """The lines of a `verify` check, over its full range, that do not pass."""
+    return [line for line in checks.CHECKS[name](None) if not line[1]]
+
+
+@pytest.mark.parametrize(
+    "name,ring,grid",
+    [("lemma-f", "SchubertRing", HEIGHT_GRID), ("prop-b", "GrassmannPresentation", LOWER_GRID)],
+)
+def test_grids_are_the_grids_the_checks_run_on(monkeypatch, name, ring, grid):
+    built = []
+    real = getattr(checks, ring)
+
+    def recording(n, k, *rest):
+        built.append((n, k))
+        return real(n, k, *rest)
+
+    monkeypatch.setattr(checks, ring, recording)
+    assert failing(name) == []
+    assert built == grid
+
+
 def test_criterion_01_generator_identities():
-    w23 = (2, 3)
-    expected6 = (
-        Gf2Polynomial(w23, [(2, 0)]),
-        Gf2Polynomial.zero(w23),
-        Gf2Polynomial(w23, [(0, 2), (3, 0)]),
-    )
-    expected9 = (
-        Gf2Polynomial(w23, [(2, 1)]),
-        Gf2Polynomial(w23, [(1, 2), (4, 0)]),
-        Gf2Polynomial(w23, [(0, 3)]),
-    )
-    finish(1, ideal_gens_k3(6) == expected6 and ideal_gens_k3(9) == expected9)
+    bad = failing("generator-identities")
+    finish(1, not bad, f"({bad})")
 
 
 def test_criterion_02_two_route_equivalence():
     start = time.monotonic()
+    bad = failing("g-generators")
     ok = True
-    for n in range(6, 65):
-        comps = inverse_series_components(3, n)
-        reduced = tuple(comps[d].substitute_zero(1) for d in (n - 2, n - 1, n))
-        ok = ok and reduced == ideal_gens_k3(n)
     for n in range(6, 21):
         N = 3 * (n - 3)
         adjoined = w1_adjoined_quotient(n, 3)
@@ -117,35 +114,25 @@ def test_criterion_02_two_route_equivalence():
                 full = Gf2Polynomial((1, 2, 3), [(0, a, b)])
                 ok = ok and k3_reduced_membership(n, x) == adjoined.is_zero(full)
     elapsed = time.monotonic() - start
-    finish(2, ok and elapsed < 60.0, f"(elapsed {elapsed:.1f}s)")
+    finish(2, not bad and ok and elapsed < 60.0, f"({bad}, elapsed {elapsed:.1f}s)")
 
 
 def test_criterion_03_smallest_space_cup_length(reg):
-    product = Gf2Polynomial((2, 3), [(1, 1)])
-    lower_witness = not k3_reduced_membership(6, product)
+    bad = failing("smallest-space")
     profile = PoincareProfile(9, 2, 3, "Z2")
     lower = lower_a3(profile, 2, 5)
     upper = upper_b1(profile, NilpotencyData((reg.oriented_ht(6, 3),)))
-    report = full_report(6, 3, summary=summarize_oriented(reg.pres(6, 3)))
-    ok = (
-        lower_witness
-        and lower == 3
-        and upper == 3
-        and (report.lower, report.upper, report.exact) == (3, 3, True)
-    )
-    finish(3, ok, f"(lower {lower}, upper {upper})")
+    finish(3, not bad and lower == 3 and upper == 3, f"({bad}, lower {lower}, upper {upper})")
 
 
 def test_criterion_04_oriented_heights(reg):
+    bad = failing("oriented-heights")
     ok = True
     for n, expected in ((9, 4), (6, 1)):
         ctx = reg.pres(n, 3).oriented()
         w2 = Gf2Polynomial.variable(ctx.weights, 2)
-        record = height_direct(ctx, w2)
-        nonzero = not ctx.is_zero(w2**expected)
-        vanishes = ctx.is_zero(w2 ** (expected + 1))
-        ok = ok and record.height == expected and nonzero and vanishes
-    finish(4, ok)
+        ok = ok and not ctx.is_zero(w2**expected) and ctx.is_zero(w2 ** (expected + 1))
+    finish(4, not bad and ok, f"({bad})")
 
 
 def test_criterion_05_height_closed_form_grid(reg):
@@ -161,54 +148,18 @@ def test_criterion_05_height_closed_form_grid(reg):
     finish(5, not bad and elapsed < 300.0, f"(mismatches {bad}, elapsed {elapsed:.1f}s)")
 
 
-def test_criterion_06_lower_bound_certificates(reg):
-    bad = []
-    for n, k in LOWER_GRID:
-        ctx = reg.pres(n, k).oriented()
-        exps, length, degree = prop_b_certificate(n, k)
-        cert = Gf2Polynomial(ctx.weights, [exps])
-        if ctx.is_zero(cert):
-            bad.append((n, k, "certificate vanishes"))
-            continue
-        profile = PoincareProfile(k * (n - k), 2, 3, "Z2")
-        if lower_a3(profile, length, degree) != prop_b_lower(n, k):
-            bad.append((n, k, "value mismatch"))
+def test_criterion_06_lower_bound_certificates():
+    bad = failing("prop-b")
     finish(6, not bad, f"({bad})")
 
 
 def test_criterion_07_upper_bound_dichotomy():
-    bad = []
-    for k in range(3, 9):
-        for n in range(2 * k, 65):
-            if (n, k) == (6, 3):
-                continue
-            N = k * (n - k)
-            ht = tabulated_w2_height(n, k)
-            profile = PoincareProfile(N, 2, 3, "Z2")
-            if 2 * ht < N:
-                expect = upper_b1(profile, NilpotencyData((ht,)))
-            else:
-                expect = upper_a1(profile)
-            if prop_d_upper(n, k) != expect:
-                bad.append((n, k))
-    spots = (
-        prop_d_upper(9, 3) == 8
-        and prop_d_upper(10, 4) == 12
-        and prop_d_upper(12, 5) == 16
-    )
-    finish(7, not bad and spots, f"({bad})")
+    bad = failing("prop-d")
+    finish(7, not bad, f"({bad})")
 
 
 def test_criterion_08_rational_bounds():
-    from cuplength.bounds import rational_bounds
-
-    walkthroughs = (
-        rational_bounds(8, 4) == type(rational_bounds(8, 4))(4, 4, True)
-        and (rational_bounds(13, 4).lower, rational_bounds(13, 4).upper) == (9, 9)
-        and rational_bounds(13, 4).exact
-        and (rational_bounds(10, 4).lower, rational_bounds(10, 4).upper, rational_bounds(10, 4).exact)
-        == (6, 6, True)
-    )
+    bad = failing("rational")
     families = True
     for k in (4, 6, 8):
         for n in range(2 * k, 2 * k + 17):
@@ -217,22 +168,11 @@ def test_criterion_08_rational_bounds():
     for t in range(1, 6):
         if not rational_bounds(4 * t + 9, 4).exact:
             families = False
-    finish(8, walkthroughs and families)
+    finish(8, not bad and families, f"({bad})")
 
 
-def test_criterion_09_category_intervals(reg):
-    wanted = {
-        (6, 3): (4, 5),
-        (9, 3): (6, 10),
-        (10, 3): (6, 11),
-        (11, 3): (6, 13),
-        (12, 3): (6, 14),
-    }
-    bad = []
-    for (n, k), interval in wanted.items():
-        report = full_report(n, k, summary=summarize_oriented(reg.pres(n, k)))
-        if (report.paper_cat_lower, report.cat_upper) != interval:
-            bad.append((n, k, report.paper_cat_lower, report.cat_upper))
+def test_criterion_09_category_intervals():
+    bad = failing("category")
     finish(9, not bad, f"({bad})")
 
 

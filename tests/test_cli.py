@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, caching, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ import sys
 import pytest
 
 import cuplength
+from cuplength import cli
 from cuplength.cli import (
     EXIT_CHECK,
     EXIT_OK,
@@ -323,6 +325,55 @@ def test_usage_errors(capsys):
     assert run(capsys, "--help")[0] == EXIT_OK
 
 
+def test_out_of_memory_is_one_line(monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_ring", exhausted)
+    code, out, err = run(capsys, "ring", "24", "8")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("out of memory: ")
+    assert len(err.splitlines()) == 1
+
+
+ALL_OPTIONS = (
+    "--format",
+    "--max-degree",
+    "--oriented",
+    "--cache-dir",
+    "--no-cache",
+    "--q-override",
+    "--field",
+    "--only",
+    "--max-n",
+)
+
+# Each command with positionals that parse, and exactly the options it reads.
+# Every other option, such as `verify --format` or `ring --field`, is refused.
+ACCEPTED_OPTIONS = [
+    ("ring", ("6", "3"), ("--format", "--max-degree")),
+    ("ideal-gens", ("6", "3"), ("--format", "--max-degree")),
+    ("height", ("9", "3", "w2"), ("--format", "--max-degree", "--oriented")),
+    ("bounds", ("9", "3"), ("--format", "--max-degree", "--cache-dir", "--no-cache", "--q-override", "--field")),
+    ("sweep", ("3", "6", "8"), ("--format", "--max-degree", "--cache-dir", "--no-cache", "--q-override", "--field")),
+    ("verify", (), ("--only", "--max-n")),
+]
+
+
+@pytest.mark.parametrize("command,positionals,accepted", ACCEPTED_OPTIONS, ids=[c[0] for c in ACCEPTED_OPTIONS])
+def test_each_command_accepts_only_the_options_it_reads(capsys, command, positionals, accepted):
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {o for a in sub.choices[command]._actions for o in a.option_strings} - {"-h", "--help"}
+    assert options == set(accepted)
+    for option in sorted(set(ALL_OPTIONS) - set(accepted)):
+        code, out, err = run(capsys, command, *positionals, option, "x")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage: cuplength")
+        assert f"error: unrecognized arguments: {option} x" in err
+
+
 def test_q_override_validation(capsys):
     code, _, err = run(capsys, "bounds", "9", "3", "--q-override", "2")
     assert code == EXIT_USAGE
@@ -333,7 +384,8 @@ def test_q_override_validation(capsys):
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
 # (argv, exit code, sha256 of stdout, sha256 of stderr), captured before the
-# oriented ring became a GrassmannPresentation; any byte change fails here.
+# oriented ring became a GrassmannPresentation (the full `verify` before the
+# checks moved into `cuplength.checks`); any byte change fails here.
 GOLDEN_INVOCATIONS = [
     (['ring', '9', '3', '--format', 'text'], 0, "432f775e0f085fba219f83a6e14a4dfc4fbaf95517765d1aca746999b188e0f1", EMPTY),
     (['ideal-gens', '9', '3', '--format', 'text'], 0, "2fb713bdf200410456b8fcdc9e4e14242a4317013ac340f2c8e52b0ab9e6d728", EMPTY),
@@ -360,6 +412,7 @@ GOLDEN_INVOCATIONS = [
     (['bounds', '9', '3'], 0, "20ec9a73728a911ebc6e9ccbbedf1774b88cf8ee3f4b7a7da89e58b247b438b5", EMPTY),
     (['verify', '--only', 'lemma-f', '--max-n', '14'], 0, "6eb6b3dc07cc910ee5fd234d348b8f5b3a612d29f8cae4ae673ba6da80f466c6", EMPTY),
     (['verify', '--max-n', '16'], 0, "374a753922c4f3ce89f4535fb0d65b2ad0c0a36b05bfd9932c6370d0d14f0661", EMPTY),
+    (['verify'], 0, "1358fdcc614292e4a0e82757aa8b404218f17453878703706c840fa834eeb63c", EMPTY),
 ]
 
 
