@@ -18,6 +18,7 @@ from .grassmann import (
     RECORD_SCHEMA,
     GrassmannPresentation,
     SizeCaps,
+    check_domain,
     longest_monomial_product,
 )
 from .heights import decompose_n, height_direct, rational_p1_height
@@ -128,8 +129,7 @@ def upper_b1(p: PoincareProfile, nd: NilpotencyData) -> int:
 
 def prop_b_lower(n: int, k: int) -> int:
     """Closed-form lower bound for the cup-length over GF(2)."""
-    if not (k >= 3 and n >= 2 * k):
-        raise ValueError(f"need n >= 2k >= 6, got (n, k) = ({n}, {k})")
+    check_domain(n, k)
     m = n - k + 3
     if m == 6:
         return 3
@@ -157,8 +157,7 @@ def prop_b_certificate(n: int, k: int) -> tuple[tuple[int, ...], int, int]:
     m/2 for even m, 4 on the exceptional set {9,10,11,12}, and the product
     w2*w3 for the smallest space.
     """
-    if not (k >= 3 and n >= 2 * k):
-        raise ValueError(f"need n >= 2k >= 6, got (n, k) = ({n}, {k})")
+    check_domain(n, k)
     width = k - 1
     m = n - k + 3
     if m == 6:
@@ -181,8 +180,7 @@ def prop_d_upper(n: int, k: int) -> int:
     is intersected with the plain degree count, which is sharper exactly when
     the tabulated height reaches or passes half the formal dimension.
     """
-    if not (k >= 3 and n >= 2 * k):
-        raise ValueError(f"need n >= 2k >= 6, got (n, k) = ({n}, {k})")
+    check_domain(n, k)
     return min(prop_d_upper_table_value(n, k), k * (n - k) // 2)
 
 
@@ -304,8 +302,7 @@ def full_report(
     summary: OrientedSummary | None = None,
 ) -> BoundReport:
     """Assemble closed-form and engine-sharpened bounds for (n, k)."""
-    if not (k >= 3 and n >= 2 * k):
-        raise ValueError(f"need n >= 2k >= 6, got (n, k) = ({n}, {k})")
+    check_domain(n, k)
     N = k * (n - k)
     grossman = grossman_upper(N, 2)
     if field_tag == "Q":

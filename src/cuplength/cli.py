@@ -67,10 +67,12 @@ def _caps(args) -> SizeCaps:
 
 
 def _report_caps(args) -> SizeCaps:
-    """The caps of bounds and sweep, once --max-degree and --q-override are validated."""
+    """The caps of bounds and sweep, once --max-degree, --q-override and --cache-dir are validated."""
     caps = _caps(args)
     if args.q_override is not None and args.q_override <= 2:
         raise ValueError("--q-override must exceed the first nonzero degree 2")
+    if args.cache_dir and not os.path.isdir(args.cache_dir):
+        raise ValueError(f"--cache-dir {args.cache_dir!r} is not an existing directory")
     return caps
 
 

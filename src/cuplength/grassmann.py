@@ -41,6 +41,7 @@ def monomial_basis(weights: tuple[int, ...], degree: int) -> list[tuple[int, ...
 
     Canonical order sorts by the reversed exponent tuple, so multiplying every
     basis element by a fixed variable is order-preserving degree to degree.
+    The ladder ranks columns by counting; this is the reference enumeration.
     """
     k = len(weights)
     out: list[tuple[int, ...]] = []
@@ -96,6 +97,10 @@ class GradedQuotient:
     its row would reduce to zero; for a regular sequence no other row does,
     and regular_name (the ring's name, for the message) turns that into a
     check.  Given top, the quotient is taken to vanish above that degree.
+
+    A column is known only by counting: column c of degree d is the monomial
+    with c monomials of degree d before it in the canonical order, so ranks,
+    widths and block tables all come from _counts.
     """
 
     def __init__(self, weights, generators, caps: SizeCaps = DEFAULT_CAPS, top=None, regular_name=None):
@@ -112,16 +117,12 @@ class GradedQuotient:
             if d is None:
                 raise ValueError("generators must be homogeneous and nonzero")
             self._gen_degrees.append(d)
-        self._bases: list[list[tuple[int, ...]]] = []
         self._elims: list[Eliminator] = []
         # Per variable position p and degree r: the number of monomials of
         # degree r in the variables up to p.
         self._counts: list[list[int]] = [[] for _ in self.weights]
         # Block tables of multiplication by each variable: (source degree, position) -> (starts, targets).
         self._blocks: dict[tuple[int, int], tuple[array, array]] = {}
-        # Monomial -> column, for the degrees _vectorize has read; a degree's
-        # build drops the one its generators needed.
-        self._index: dict[int, dict[tuple[int, ...], int]] = {}
         # Per degree and pivot column: 1 + the generator whose row installed it, else 0.
         self._owner: list[bytearray] = []
         # Signature rows of the last max(weights) degrees: per generator, the
@@ -132,29 +133,29 @@ class GradedQuotient:
         if self.top is not None:
             degree = min(degree, self.top)
         if degree > self.caps.max_formal_dim:
-            raise SizeCapExceeded(
-                f"degree {degree} exceeds cap {self.caps.max_formal_dim}"
-            )
-        while len(self._bases) <= degree:
-            self._build(len(self._bases))
+            raise SizeCapExceeded(f"degree {degree} exceeds cap {self.caps.max_formal_dim}")
+        while len(self._elims) <= degree:
+            self._build(len(self._elims))
 
     def _build(self, d: int) -> None:
-        basis = monomial_basis(self.weights, d)
-        if len(basis) > self.caps.max_basis:
-            raise SizeCapExceeded(
-                f"degree {d} basis has {len(basis)} monomials, cap {self.caps.max_basis}"
-            )
-        self._bases.append(basis)
+        for p, w in enumerate(self.weights):
+            counts = self._counts[p]
+            below = self._counts[p - 1][d] if p else int(d == 0)
+            # Assigned from d on, so a degree the cap refused is counted again, not twice.
+            counts[d:] = [below + (counts[d - w] if d >= w else 0)]
+        width = self._counts[-1][d]
+        if width > self.caps.max_basis:
+            raise SizeCapExceeded(f"degree {d} basis has {width} monomials, cap {self.caps.max_basis}")
         self._add_block_tables(d)
         elim = Eliminator()
-        owner = bytearray(len(basis))
+        owner = bytearray(width)
         sig: list[list[int] | None] = []
         for j, (g, dg) in enumerate(zip(self.generators, self._gen_degrees)):
             te = d - dg
             if te < 0:
                 sig.append(None)
                 continue
-            rows = [0] * len(self._bases[te])
+            rows = [0] * self._counts[-1][te]
             sig.append(rows)
             todo = [(0, self._vectorize(g, d))] if te == 0 else self._signature_rows(d, j, te)
             for tc, v in todo:
@@ -167,7 +168,6 @@ class GradedQuotient:
                         f"ring {self.regular_name}: a row of degree {d} from generator index {j} "
                         "reduced to zero, so the generators are not a regular sequence"
                     )
-        self._index.pop(d, None)
         self._elims.append(elim)
         self._owner.append(owner)
         self._sig[d] = sig
@@ -187,10 +187,6 @@ class GradedQuotient:
         up to x_p, so the tables follow from _counts alone.
         """
         weights = self.weights
-        for p, w in enumerate(weights):
-            counts = self._counts[p]
-            below = self._counts[p - 1][d] if p else int(d == 0)
-            counts.append(below + (counts[d - w] if d >= w else 0))
         # Degrees left to the variables up to p, one per nonempty block of
         # degree d, in canonical order.
         rests = [d]
@@ -246,22 +242,41 @@ class GradedQuotient:
         return _shifted(v, *self._blocks[degree, pos])
 
     def _vectorize(self, poly: Gf2Polynomial, degree: int) -> int:
-        index = self._index.get(degree)
-        if index is None:
-            index = self._index[degree] = {m: i for i, m in enumerate(self._bases[degree])}
+        """One bit per term, at its column.  From the last variable down, with r the degree
+        left to x_1..x_p, the monomials before the term that share its exponents after x_p
+        but have fewer factors x_p number counts[p][r] - counts[p][r - e_p w_p]: the rest
+        are x_p^e_p times the monomials of degree r - e_p w_p."""
+        weights, counts = self.weights, self._counts
         v = 0
         for t in poly.terms:
-            v |= 1 << index[t.exps]
+            c, r = 0, degree
+            for p in range(len(weights) - 1, 0, -1):
+                s = r - t.exps[p] * weights[p]
+                c += counts[p][r] - counts[p][s]
+                r = s
+            v |= 1 << c
         return v
 
     def _devectorize(self, v: int, degree: int) -> Gf2Polynomial:
-        basis = self._bases[degree]
+        """The terms of the set columns: from the last variable down, the monomials with e
+        factors x_p take counts[p - 1][r - e w_p] columns, e = 0, 1, ..., so e_p is the number
+        of these runs that lie wholly before the column."""
+        weights, counts = self.weights, self._counts
         terms = []
         while v:
             low = v & -v
-            terms.append(basis[low.bit_length() - 1])
+            c, r = low.bit_length() - 1, degree
+            exps = [0] * len(weights)
+            for p in range(len(weights) - 1, 0, -1):
+                below = counts[p - 1]
+                while c >= below[r]:
+                    c -= below[r]
+                    r -= weights[p]
+                    exps[p] += 1
+            exps[0] = r // weights[0]
+            terms.append(tuple(exps))
             v ^= low
-        return Gf2Polynomial(self.weights, terms)
+        return Gf2Polynomial(weights, terms)
 
     def _vanishes(self, degree: int) -> bool:
         return degree < 0 or (self.top is not None and degree > self.top)
@@ -271,7 +286,7 @@ class GradedQuotient:
         if self._vanishes(degree):
             return 0
         self.extend_to(degree)
-        return len(self._bases[degree]) - self._elims[degree].rank
+        return self._counts[-1][degree] - self._elims[degree].rank
 
     def normal_form(self, poly: Gf2Polynomial) -> Gf2Polynomial:
         if poly.weights != self.weights:
@@ -321,21 +336,28 @@ def term_products(x: Gf2Polynomial, v: int, degree: int, shift) -> int:
     return acc
 
 
-def formal_dimension(n: int, k: int, caps: SizeCaps) -> int:
-    """N = k(n - k), refused unless n >= 2k >= 6 and N is within the cap."""
+def check_domain(n: int, k: int) -> None:
+    """Refuse (n, k) unless n >= 2k >= 6, the range of every bound and closed form."""
     if not (k >= 3 and n >= 2 * k):
         raise ValueError(f"need n >= 2k >= 6, got (n, k) = ({n}, {k})")
+
+
+def formal_dimension(n: int, k: int, caps: SizeCaps) -> int:
+    """N = k(n - k), refused unless n >= 2k >= 6 and N is within the cap."""
+    check_domain(n, k)
     if k * (n - k) > caps.max_formal_dim:
         raise SizeCapExceeded(f"formal dimension {k * (n - k)} exceeds cap")
     return k * (n - k)
 
 
-class GrassmannPresentation:
-    """The ring Z2[w1..wk]/I for k-planes in n-space, with lazy degree ladders.
+class GrassmannPresentation(GradedQuotient):
+    """The ring Z2[w1..wk]/I for k-planes in n-space, with a lazy degree ladder.
 
     oriented() gives the characteristic subalgebra of the oriented double
     cover as a ring of the same type over w2..wk; context names which one a
-    ring is.  Both vanish above the formal dimension N = k(n-k).
+    ring is.  Both vanish above the formal dimension N = k(n-k), so a class
+    above N is zero without a ladder.  times is the height loop's product, as
+    SchubertRing.times is.
     """
 
     def __init__(self, n: int, k: int, caps: SizeCaps = DEFAULT_CAPS):
@@ -344,40 +366,18 @@ class GrassmannPresentation:
         gens = tuple(comps[d] for d in range(n - k + 1, n + 1))
         self._setup(n, k, N, caps, "unoriented", tuple(range(1, k + 1)), gens)
 
-    def _setup(
-        self,
-        n: int,
-        k: int,
-        N: int,
-        caps: SizeCaps,
-        context: str,
-        weights: tuple[int, ...],
-        ideal_gens: tuple[Gf2Polynomial, ...],
-    ) -> None:
-        self.n = n
-        self.k = k
-        self.N = N
-        self.caps = caps
+    def _setup(self, n: int, k: int, N: int, caps: SizeCaps, context: str, weights, ideal_gens) -> None:
+        self.n, self.k, self.N = n, k, N
         self.context = context
-        self.weights = weights
         self.ideal_gens = ideal_gens
         # Only the unoriented generators are a regular sequence (k of them in k variables).
         regular_name = f"(n, k) = ({n}, {k})" if context == "unoriented" else None
-        self.quotient = GradedQuotient(weights, ideal_gens, caps, top=self.N, regular_name=regular_name)
-        self.times = self.quotient.times  # the height loop's product, as SchubertRing.times
+        super().__init__(weights, ideal_gens, caps, top=N, regular_name=regular_name)
         self._oriented: GrassmannPresentation | None = None
 
     def betti(self) -> list[int]:
         """Per-degree dimensions b_0..b_N of the quotient ring."""
-        return [self.quotient.dim(d) for d in range(self.N + 1)]
-
-    def normal_form(self, x: Gf2Polynomial) -> Gf2Polynomial:
-        """Normal form of a homogeneous class; zero above N without building the ladder."""
-        return self.quotient.normal_form(x)
-
-    def is_zero(self, x: Gf2Polynomial) -> bool:
-        """Whether a homogeneous class vanishes; every class above N does."""
-        return self.quotient.is_zero(x)
+        return [self.dim(d) for d in range(self.N + 1)]
 
     def oriented(self) -> "GrassmannPresentation":
         """Z2[w2..wk] modulo the generators with w1 set to zero, the quotient by I + (w1).
@@ -435,10 +435,9 @@ def longest_monomial_product(ctx: GrassmannPresentation) -> tuple[tuple[int, ...
     broken by larger length, then smaller exponent vector.
     """
     weights = ctx.weights
-    quotient = ctx.quotient
-    quotient.extend_to(ctx.N)
-    elims = quotient._elims
-    shift = quotient._shift
+    ctx.extend_to(ctx.N)
+    elims = ctx._elims
+    shift = ctx._shift
     # The unit: degree 0 has the single basis monomial 1 and no ideal rows.
     frontier: dict[tuple[int, int], tuple[int, ...]] = {(0, 1): tuple(0 for _ in weights)}
     best_exps = tuple(0 for _ in weights)

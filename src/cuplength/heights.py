@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf2poly import Gf2Polynomial
-from .grassmann import GrassmannPresentation
+from .grassmann import GrassmannPresentation, check_domain
 from .schubert import SchubertRing
 
 
@@ -97,8 +97,7 @@ def tabulated_w2_height(n: int, k: int) -> int:
     overshoot the true value; the derived upper-bound tables are built from
     these uncorrected numbers, so replicating them needs this exact function.
     """
-    if not (k >= 3 and n >= 2 * k):
-        raise ValueError(f"need n >= 2k >= 6, got (n, k) = ({n}, {k})")
+    check_domain(n, k)
     dec = decompose_n(n)
     s = dec.s
     if k == 3:

@@ -206,6 +206,21 @@ def test_sweep_cache_round_trip(tmp_path, capsys):
     assert refreshed == cold
 
 
+@pytest.mark.parametrize("kind", ["missing", "regular file"])
+def test_unusable_cache_dir_refused_before_any_work(tmp_path, capsys, kind):
+    cache = str(tmp_path / "cache")
+    if kind == "regular file":
+        open(cache, "w").close()
+    for argv in (("bounds", "9", "3"), ("sweep", "3", "6", "8")):
+        results = [run(capsys, *argv, "--cache-dir", cache) for _ in range(2)]
+        assert results[0] == results[1], argv
+        code, out, err = results[0]
+        assert code == EXIT_USAGE, argv
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert os.listdir(tmp_path) == ([] if kind == "missing" else ["cache"])
+
+
 def test_bounds_cache_poisoning_rejected(tmp_path, capsys):
     cache = str(tmp_path)
     code, _, _ = run(capsys, "bounds", "9", "3", "--cache-dir", cache)

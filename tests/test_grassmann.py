@@ -123,7 +123,7 @@ def test_normal_form_above_formal_dimension_is_zero_without_a_ladder(oriented):
     w2 = Gf2Polynomial.variable(ring.weights, 2)
     assert ring.normal_form(w2**150) == Gf2Polynomial.zero(ring.weights)
     assert not ring.normal_form(w2**201)
-    assert ring.quotient._bases == []
+    assert ring._elims == []
 
 
 def test_oriented_betti_golden():
@@ -154,7 +154,6 @@ def polynomial_longest_product(ctx):
     """The search as first written: every edge multiplies a polynomial by a
     variable and takes its normal form.  Kept as an oracle for the vector search."""
     weights = ctx.weights
-    quotient = ctx.quotient
     frontier = {(0, Gf2Polynomial.one(weights)): tuple(0 for _ in weights)}
     best_exps = tuple(0 for _ in weights)
     best_len = 0
@@ -172,7 +171,7 @@ def polynomial_longest_product(ctx):
                 nd = d + w
                 if nd > ctx.N:
                     continue
-                nnf = quotient.normal_form(nf * Gf2Polynomial.variable(weights, w))
+                nnf = ctx.normal_form(nf * Gf2Polynomial.variable(weights, w))
                 if not nnf:
                     continue
                 nexps = exps[:pos] + (exps[pos] + 1,) + exps[pos + 1 :]
@@ -205,6 +204,22 @@ def test_vector_search_matches_polynomial_oracle(n, k):
 def test_size_caps_enforced():
     with pytest.raises(SizeCapExceeded):
         GrassmannPresentation(30, 5, SizeCaps(max_formal_dim=100, max_basis=200000))
+
+
+def test_max_basis_refuses_a_wider_degree_and_keeps_the_lower_ones():
+    width = len(monomial_basis((1, 2, 3, 4), 12))
+    uncapped = GrassmannPresentation(10, 4).betti()
+    at_cap = GrassmannPresentation(10, 4, SizeCaps(max_basis=width))
+    assert [at_cap.dim(d) for d in range(13)] == uncapped[:13]
+    below = GrassmannPresentation(10, 4, SizeCaps(max_basis=width - 1))
+    for _ in range(2):
+        with pytest.raises(SizeCapExceeded) as refused:
+            below.dim(12)
+        assert str(refused.value) == f"degree 12 basis has {width} monomials, cap {width - 1}"
+    assert [below.dim(d) for d in range(12)] == uncapped[:12]
+    # A refused degree leaves nothing half built: with the cap lifted, the ring completes.
+    below.caps = SizeCaps()
+    assert below.betti() == uncapped
 
 
 def test_presentation_validates_input():
