@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from .gf2poly import Gf2Polynomial
 from .grassmann import (
     DEFAULT_CAPS,
-    RECORD_SCHEMA,
     GrassmannPresentation,
+    OrientedSummary,
     SizeCaps,
     check_domain,
     longest_monomial_product,
@@ -216,59 +216,6 @@ def cat_lower(cup: int) -> int:
     if cup < 0:
         raise ValueError("negative cup-length")
     return cup + 1
-
-
-@dataclass(frozen=True)
-class OrientedSummary:
-    """Everything the bound assembly needs from one oriented cohomology ring."""
-
-    n: int
-    k: int
-    ht_w2: int
-    longest: tuple[tuple[int, ...], int, int]
-    char_dims: tuple[int, ...]
-
-    def to_record(self) -> dict:
-        exps, length, degree = self.longest
-        return {
-            "schema": RECORD_SCHEMA,
-            "n": self.n,
-            "k": self.k,
-            "mode": "oriented",
-            "betti": list(self.char_dims),
-            "ht_w2": self.ht_w2,
-            "longest_product": [list(exps), length, degree],
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "OrientedSummary":
-        """The summary a type-checked cache record holds, if its fields agree with each other."""
-        n, k = record["n"], record["k"]
-        N = k * (n - k)
-        where = f"cache record for ({n}, {k})"
-        betti = record["betti"]
-        if len(betti) != N + 1:
-            raise ValueError(f"{where} needs {N + 1} Betti numbers")
-        exps, length, degree = record["longest_product"]
-        ht = record["ht_w2"]
-        if len(exps) != k - 1 or min(exps) < 0:
-            raise ValueError(f"{where}: the longest product needs {k - 1} nonnegative exponents")
-        if length != sum(exps):
-            raise ValueError(f"{where}: the longest product's length is not the sum of its exponents")
-        if degree != sum(w * e for w, e in zip(range(2, k + 1), exps)):
-            raise ValueError(f"{where}: the longest product's degree is not the degree of its exponents")
-        # Ranges first: betti[-1] is a valid index.
-        if not (0 <= degree <= N and betti[degree]):
-            raise ValueError(f"{where}: the longest product lies in degree {degree}, which has no classes")
-        if not (0 <= 2 * ht <= N and betti[2 * ht]):
-            raise ValueError(f"{where}: w2^{ht} lies in degree {2 * ht}, which has no classes")
-        return cls(
-            n=n,
-            k=k,
-            ht_w2=record["ht_w2"],
-            longest=(tuple(int(e) for e in exps), int(length), int(degree)),
-            char_dims=tuple(int(b) for b in record["betti"]),
-        )
 
 
 def summarize_oriented(pres: GrassmannPresentation) -> OrientedSummary:

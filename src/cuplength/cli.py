@@ -10,12 +10,13 @@ import os
 import sys
 from dataclasses import asdict, astuple
 
-from .bounds import OrientedSummary, full_report, summarize_oriented
+from .bounds import full_report, summarize_oriented
 from .checks import CHECKS
 from .gf2poly import Gf2Polynomial, ideal_gens_k3, parse_polynomial
 from .grassmann import (
     DEFAULT_CAPS,
     GrassmannPresentation,
+    OrientedSummary,
     SizeCapExceeded,
     SizeCaps,
     load_record,
@@ -87,12 +88,12 @@ def _rational_undefined(args) -> bool:
 def _cached_summary(n: int, k: int, args, caps: SizeCaps) -> OrientedSummary:
     """Oriented ring summary, through the record cache when one is configured."""
     if args.cache_dir and not args.no_cache:
-        record = load_record(args.cache_dir, n, k, "oriented")
-        if record is not None:
-            return OrientedSummary.from_record(record)
+        summary = load_record(args.cache_dir, n, k)
+        if summary is not None:
+            return summary
     summary = summarize_oriented(GrassmannPresentation(n, k, caps))
     if args.cache_dir:
-        save_record(args.cache_dir, summary.to_record())
+        save_record(args.cache_dir, summary)
     return summary
 
 

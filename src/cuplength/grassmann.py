@@ -400,13 +400,6 @@ def k3_reduced_quotient(n: int, caps: SizeCaps = DEFAULT_CAPS) -> GradedQuotient
 
 def k3_reduced_membership(n: int, x: Gf2Polynomial, caps: SizeCaps = DEFAULT_CAPS) -> bool:
     """Ideal membership against the closed-form generator route (k=3 only)."""
-    if x.weights != (2, 3):
-        raise ValueError("expected a polynomial in w2, w3")
-    if not x:
-        return True
-    d = x.homogeneous_degree()
-    if d is None:
-        raise ValueError("membership requires a homogeneous polynomial")
     return _last_k3_quotient(n, caps).is_zero(x)
 
 
@@ -479,16 +472,34 @@ RECORD_SCHEMA = 1
 _RECORD_KEYS = {"schema", "n", "k", "mode", "betti", "ht_w2", "longest_product"}
 
 
-def record_filename(n: int, k: int, mode: str) -> str:
-    return f"gr_{n}_{k}_{mode}.json"
+@dataclass(frozen=True)
+class OrientedSummary:
+    """Everything the bound assembly needs from one oriented cohomology ring, and its cache record."""
+
+    n: int
+    k: int
+    ht_w2: int
+    longest: tuple[tuple[int, ...], int, int]
+    char_dims: tuple[int, ...]
 
 
-def save_record(cache_dir: str, record: dict) -> str:
-    """Atomically write a cache record; returns the file path."""
-    missing = _RECORD_KEYS - set(record)
-    if missing or set(record) - _RECORD_KEYS:
-        raise ValueError(f"malformed record keys: {sorted(set(record) ^ _RECORD_KEYS)}")
-    path = os.path.join(cache_dir, record_filename(record["n"], record["k"], record["mode"]))
+def _record_path(cache_dir: str, n: int, k: int) -> str:
+    return os.path.join(cache_dir, f"gr_{n}_{k}_oriented.json")
+
+
+def save_record(cache_dir: str, summary: OrientedSummary) -> str:
+    """Atomically write the cache record of a summary; returns the file path."""
+    exps, length, degree = summary.longest
+    record = {
+        "schema": RECORD_SCHEMA,
+        "n": summary.n,
+        "k": summary.k,
+        "mode": "oriented",
+        "betti": list(summary.char_dims),
+        "ht_w2": summary.ht_w2,
+        "longest_product": [list(exps), length, degree],
+    }
+    path = _record_path(cache_dir, summary.n, summary.k)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -502,9 +513,14 @@ def save_record(cache_dir: str, record: dict) -> str:
     return path
 
 
-def load_record(cache_dir: str, n: int, k: int, mode: str) -> dict | None:
-    """Load a cache record; None on miss; ValueError on a malformed file."""
-    path = os.path.join(cache_dir, record_filename(n, k, mode))
+def load_record(cache_dir: str, n: int, k: int) -> OrientedSummary | None:
+    """The summary cached for (n, k); None on a miss.
+
+    ValueError on a record that is malformed, whose fields disagree with each
+    other, or whose Betti numbers below the first relation degree n - k + 1
+    are not the monomial counts of w2..wk.
+    """
+    path = _record_path(cache_dir, n, k)
     if not os.path.exists(path):
         return None
     with open(path) as fh:
@@ -513,19 +529,45 @@ def load_record(cache_dir: str, n: int, k: int, mode: str) -> dict | None:
         raise ValueError(f"unrecognized cache record shape in {path}")
     if record["schema"] != RECORD_SCHEMA:
         raise ValueError(f"unsupported cache schema {record['schema']!r} in {path}")
-    if (record["n"], record["k"], record["mode"]) != (n, k, mode):
+    if (record["n"], record["k"], record["mode"]) != (n, k, "oriented"):
         raise ValueError(f"cache record {path} does not match its file name")
-    product = record["longest_product"]
+    betti, ht, product = record["betti"], record["ht_w2"], record["longest_product"]
     if not (
-        type(record["ht_w2"]) is int
-        and _is_int_list(record["betti"])
+        type(ht) is int
+        and _is_int_list(betti)
         and isinstance(product, list)
         and len(product) == 3
         and _is_int_list(product[0])
         and _is_int_list(product[1:])
     ):
         raise ValueError(f"cache record {path} has a field of the wrong type")
-    return record
+    N = k * (n - k)
+    where = f"cache record for ({n}, {k})"
+    if len(betti) != N + 1:
+        raise ValueError(f"{where} needs {N + 1} Betti numbers")
+    if min(betti) < 0:
+        raise ValueError(f"{where}: a Betti number is negative")
+    # No relation has degree below n - k + 1, so there b_d counts the monomials of degree d.
+    counts = [1] + [0] * (n - k)
+    for w in range(2, k + 1):
+        for d in range(w, n - k + 1):
+            counts[d] += counts[d - w]
+    for d, count in enumerate(counts):
+        if betti[d] != count:
+            raise ValueError(f"{where}: b_{d} is {betti[d]}, not the monomial count {count} below degree {n - k + 1}")
+    exps, length, degree = product
+    if len(exps) != k - 1 or min(exps) < 0:
+        raise ValueError(f"{where}: the longest product needs {k - 1} nonnegative exponents")
+    if length != sum(exps):
+        raise ValueError(f"{where}: the longest product's length is not the sum of its exponents")
+    if degree != sum(w * e for w, e in zip(range(2, k + 1), exps)):
+        raise ValueError(f"{where}: the longest product's degree is not the degree of its exponents")
+    # Ranges first: betti[-1] is a valid index.
+    if not (0 <= degree <= N and betti[degree]):
+        raise ValueError(f"{where}: the longest product lies in degree {degree}, which has no classes")
+    if not (0 <= 2 * ht <= N and betti[2 * ht]):
+        raise ValueError(f"{where}: w2^{ht} lies in degree {2 * ht}, which has no classes")
+    return OrientedSummary(n, k, ht, (tuple(exps), length, degree), tuple(betti))
 
 
 def _is_int_list(value) -> bool:

@@ -62,9 +62,12 @@ class SchubertRing:
         count, cap = self._counts[d + i], self.caps.max_basis
         if count > cap:
             raise SizeCapExceeded(f"degree {d + i} basis has {count} partitions, cap {cap}")
+        # A mask reached from an even number of source columns cancels; each other one is ranked once.
+        images: set[int] = set()
         for c in [c for c, bit in enumerate(bin(v)[2:][::-1]) if bit == "1"]:
-            for mu in _strips(self._unrank(c, s), i, self.n):
-                out ^= 1 << self._rank(mu, s + i)
+            images.symmetric_difference_update(_strips(self._unrank(c, s), i, self.n))
+        for mu in images:
+            out |= 1 << self._rank(mu, s + i)
         return out
 
     def times(self, v: int, degree: int, x: Gf2Polynomial) -> int:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cuplength.bounds import (
     BoundReport,
     NilpotencyData,
-    OrientedSummary,
     PoincareProfile,
     check_a2,
     full_report,
@@ -25,7 +24,7 @@ from cuplength.bounds import (
     upper_a1,
     upper_b1,
 )
-from cuplength.grassmann import GrassmannPresentation
+from cuplength.grassmann import GrassmannPresentation, load_record, save_record
 from cuplength.heights import rational_p1_height, tabulated_w2_height
 
 
@@ -197,10 +196,11 @@ def test_report_q_override():
     assert wide.lower <= wide.upper
 
 
-def test_report_from_summary_matches_fresh():
+def test_report_from_summary_matches_fresh(tmp_path):
     pres = GrassmannPresentation(10, 3)
     summary = summarize_oriented(pres)
-    round_tripped = OrientedSummary.from_record(summary.to_record())
+    save_record(str(tmp_path), summary)
+    round_tripped = load_record(str(tmp_path), 10, 3)
     assert round_tripped == summary
     assert full_report(10, 3, summary=round_tripped) == full_report(10, 3)
 

@@ -271,6 +271,9 @@ def test_bounds_cache_malformed_field_rejected(tmp_path, capsys, field, value, m
         ({"longest_product": [[5, -1], 4, 7]}, "needs 2 nonnegative exponents"),
         ({"longest_product": [[4, 0], 3, 8]}, "length is not the sum"),
         ({"ht_w2": -1}, "w2^-1 lies in degree -2"),
+        # No relation lies below degree 7, so b_3 counts the one monomial w3 (and pins q = 3).
+        ({"betti": [1, 0, 1, 0, 1, 1, 2, 0, 1] + [0] * 10}, "b_3 is 0, not the monomial count 1 below degree 7"),
+        ({"betti": [1, 0, 1, 1, 1, 1, 2, -1, 1] + [0] * 10}, "a Betti number is negative"),
     ],
 )
 def test_bounds_cache_inconsistent_record_rejected(tmp_path, capsys, changes, message):

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuplength.bounds import summarize_oriented
 from cuplength.gf2poly import Gf2Polynomial
 from cuplength.grassmann import (
     GrassmannPresentation,
+    OrientedSummary,
     SizeCapExceeded,
     SizeCaps,
     k3_reduced_membership,
@@ -260,46 +262,45 @@ def test_generator_multiples_vanish(n, a, b):
             assert pres.is_zero(product)
 
 
+# The summary of the oriented (9, 3) ring, as bounds computes it.
+SUMMARY_9_3 = OrientedSummary(
+    n=9, k=3, ht_w2=4, longest=((4, 0), 4, 8), char_dims=(1, 0, 1, 1, 1, 1, 2, 0, 1) + (0,) * 10
+)
+
+
+def poison_record(tmp_path, **changes) -> None:
+    """Write the (9, 3) record through save_record, then overwrite some of its fields."""
+    path = save_record(str(tmp_path), SUMMARY_9_3)
+    with open(path) as fh:
+        record = json.load(fh)
+    with open(path, "w") as fh:
+        json.dump({**record, **changes}, fh)
+
+
 def test_record_round_trip(tmp_path):
-    record = {
-        "schema": 1,
-        "n": 9,
-        "k": 3,
-        "mode": "oriented",
-        "betti": [1, 0, 1],
-        "ht_w2": 4,
-        "longest_product": [[4, 0], 4, 8],
-    }
-    save_record(str(tmp_path), record)
-    assert load_record(str(tmp_path), 9, 3, "oriented") == record
-    assert load_record(str(tmp_path), 10, 3, "oriented") is None
+    assert SUMMARY_9_3 == summarize_oriented(GrassmannPresentation(9, 3))
+    path = save_record(str(tmp_path), SUMMARY_9_3)
+    assert path == os.path.join(str(tmp_path), "gr_9_3_oriented.json")
+    assert load_record(str(tmp_path), 9, 3) == SUMMARY_9_3
+    assert load_record(str(tmp_path), 10, 3) is None
+    with open(path) as fh:
+        assert fh.read() == (
+            '{"betti": [1, 0, 1, 1, 1, 1, 2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], "ht_w2": 4, "k": 3, '
+            '"longest_product": [[4, 0], 4, 8], "mode": "oriented", "n": 9, "schema": 1}\n'
+        )
+    assert os.listdir(str(tmp_path)) == ["gr_9_3_oriented.json"]
 
 
 def test_record_rejects_malformed(tmp_path):
-    record = {
-        "schema": 1,
-        "n": 9,
-        "k": 3,
-        "mode": "oriented",
-        "betti": [1],
-        "ht_w2": 4,
-        "longest_product": [[4, 0], 4, 8],
-    }
-    with pytest.raises(ValueError):
-        save_record(str(tmp_path), {**record, "extra": 1})
-    path = os.path.join(str(tmp_path), "gr_9_3_oriented.json")
-    with open(path, "w") as fh:
-        json.dump({**record, "schema": 99}, fh)
-    with pytest.raises(ValueError):
-        load_record(str(tmp_path), 9, 3, "oriented")
-    with open(path, "w") as fh:
-        json.dump({**record, "n": 11}, fh)
-    with pytest.raises(ValueError):
-        load_record(str(tmp_path), 9, 3, "oriented")
-    with open(path, "w") as fh:
-        json.dump({**record, "extra": 1}, fh)
-    with pytest.raises(ValueError):
-        load_record(str(tmp_path), 9, 3, "oriented")
+    for changes, message in [
+        ({"schema": 99}, "unsupported cache schema 99"),
+        ({"n": 11}, "does not match its file name"),
+        ({"mode": "unoriented"}, "does not match its file name"),
+        ({"extra": 1}, "unrecognized cache record shape"),
+    ]:
+        poison_record(tmp_path, **changes)
+        with pytest.raises(ValueError, match=message):
+            load_record(str(tmp_path), 9, 3)
 
 
 @pytest.mark.parametrize(
@@ -321,16 +322,6 @@ def test_record_rejects_malformed(tmp_path):
     ],
 )
 def test_record_rejects_wrong_types(tmp_path, field, value):
-    record = {
-        "schema": 1,
-        "n": 9,
-        "k": 3,
-        "mode": "oriented",
-        "betti": [1, 0, 1],
-        "ht_w2": 4,
-        "longest_product": [[4, 0], 4, 8],
-    }
-    with open(os.path.join(str(tmp_path), "gr_9_3_oriented.json"), "w") as fh:
-        json.dump({**record, field: value}, fh)
+    poison_record(tmp_path, **{field: value})
     with pytest.raises(ValueError, match="wrong type"):
-        load_record(str(tmp_path), 9, 3, "oriented")
+        load_record(str(tmp_path), 9, 3)

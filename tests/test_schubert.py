@@ -152,6 +152,15 @@ def test_only_the_partitions_reached_are_listed(monkeypatch):
     assert ring._counts[4] == 5
 
 
+def test_each_image_is_ranked_once_per_shift(monkeypatch):
+    ring = SchubertRing(24, 8)
+    w2 = Gf2Polynomial.variable(ring.weights, 2)
+    calls = watch_ranking(monkeypatch, ring)
+    assert ring.times(1, 0, w2**3)
+    # Several source columns of w2^2 reach the same partitions of degree 6; each is ranked once.
+    assert len(calls["rank"]) == len(set(calls["rank"]))
+
+
 def test_caps():
     with pytest.raises(SizeCapExceeded, match=r"^formal dimension 18 exceeds cap$"):
         SchubertRing(9, 3, SizeCaps(max_formal_dim=10))
