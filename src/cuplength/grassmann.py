@@ -96,7 +96,10 @@ class GradedQuotient:
     signature whose t is a leading term of (g_1..g_{j-1}) is skipped, since
     its row would reduce to zero; for a regular sequence no other row does,
     and regular_name (the ring's name, for the message) turns that into a
-    check.  Given top, the quotient is taken to vanish above that degree.
+    check.  The quotient vanishes above top, given or learned: once degrees
+    D..D+m-1, m = max(weights), all have dimension 0, the run is dropped and
+    top becomes D - 1, since a monomial of degree d > D+m-1 is x_i times one
+    of degree d - w_i in [D, d - 1], zero by induction on d.
 
     A column is known only by counting: column c of degree d is the monomial
     with c monomials of degree d before it in the canonical order, so ranks,
@@ -134,7 +137,8 @@ class GradedQuotient:
             degree = min(degree, self.top)
         if degree > self.caps.max_formal_dim:
             raise SizeCapExceeded(f"degree {degree} exceeds cap {self.caps.max_formal_dim}")
-        while len(self._elims) <= degree:
+        # top is read again after each degree: the build may have learned it.
+        while len(self._elims) <= degree and not self._vanishes(len(self._elims)):
             self._build(len(self._elims))
 
     def _build(self, d: int) -> None:
@@ -171,8 +175,13 @@ class GradedQuotient:
         self._elims.append(elim)
         self._owner.append(owner)
         self._sig[d] = sig
-        self._sig.pop(d - max(self.weights), None)
-        if d == self.top:
+        m = max(self.weights)
+        self._sig.pop(d - m, None)
+        # m zero degrees in a row: the quotient ends before them (see the class docstring).
+        if d >= m - 1 and all(self._counts[-1][e] == self._elims[e].rank for e in range(d - m + 1, d + 1)):
+            self.top = d - m
+            del self._elims[d - m + 1 :], self._owner[d - m + 1 :]
+        if self._vanishes(d + 1):
             self._sig.clear()
 
     def _add_block_tables(self, d: int) -> None:
@@ -281,11 +290,16 @@ class GradedQuotient:
     def _vanishes(self, degree: int) -> bool:
         return degree < 0 or (self.top is not None and degree > self.top)
 
+    def _reach(self, degree: int) -> bool:
+        """Build the ladder up to degree; False if the quotient is zero there, top as learned."""
+        if not self._vanishes(degree):
+            self.extend_to(degree)
+        return not self._vanishes(degree)
+
     def dim(self, degree: int) -> int:
         """Dimension of the degree-d component of the quotient."""
-        if self._vanishes(degree):
+        if not self._reach(degree):
             return 0
-        self.extend_to(degree)
         return self._counts[-1][degree] - self._elims[degree].rank
 
     def normal_form(self, poly: Gf2Polynomial) -> Gf2Polynomial:
@@ -296,9 +310,8 @@ class GradedQuotient:
         d = poly.homogeneous_degree()
         if d is None:
             raise ValueError("normal form requires a homogeneous polynomial")
-        if self._vanishes(d):
+        if not self._reach(d):
             return Gf2Polynomial.zero(self.weights)
-        self.extend_to(d)
         return self._devectorize(self._elims[d].reduce(self._vectorize(poly, d)), d)
 
     def is_zero(self, poly: Gf2Polynomial) -> bool:
@@ -308,9 +321,8 @@ class GradedQuotient:
     def times(self, v: int, degree: int, x: Gf2Polynomial) -> int:
         """Reduced vector of the class v (a vector in the given degree) times x."""
         target = product_degree(self.weights, degree, x)
-        if self._vanishes(target):
+        if not self._reach(target):
             return 0
-        self.extend_to(target)
         return self._elims[target].reduce(term_products(x, v, degree, self._shift))
 
 
@@ -447,7 +459,7 @@ def longest_monomial_product(ctx: GrassmannPresentation) -> tuple[tuple[int, ...
         for (d, nf), exps in frontier.items():
             for pos, w in enumerate(weights):
                 nd = d + w
-                if nd > ctx.N:
+                if nd > ctx.top:
                     continue
                 nnf = elims[nd].reduce(shift(nf, d, pos))
                 if not nnf:

@@ -17,7 +17,10 @@ from cuplength.gf2poly import Gf2Polynomial
 from cuplength.grassmann import (
     GradedQuotient,
     GrassmannPresentation,
+    SizeCapExceeded,
+    SizeCaps,
     k3_reduced_quotient,
+    longest_monomial_product,
     monomial_basis,
     w1_adjoined_quotient,
 )
@@ -79,9 +82,15 @@ def test_signature_ladder_matches_shift_everything_ladder(n, k):
     N = k * (n - k)
     for name, quotient in quotients(n, k):
         oracle = shift_everything_ladder(quotient.weights, quotient.generators, N)
+        widths = [len(monomial_basis(quotient.weights, d)) for d in range(N + 1)]
         for d in range(N + 1):
-            assert quotient.dim(d) == len(monomial_basis(quotient.weights, d)) - len(oracle[d]), (name, d)
+            assert quotient.dim(d) == widths[d] - len(oracle[d]), (name, d)
+        top = N if quotient.top is None else min(quotient.top, N)
+        for d in range(top + 1):
             assert quotient._elims[d].pivot_rows() == oracle[d], (name, d)
+        # The oracle builds every degree: each one the ladder skipped is zero there too.
+        for d in range(top + 1, N + 1):
+            assert len(oracle[d]) == widths[d], (name, d)
 
 
 def test_last_variable_shift_is_a_plain_bit_shift():
@@ -116,8 +125,8 @@ class CountingEliminator(Eliminator):
     [
         (9, 3, "unoriented", 0),
         (14, 5, "unoriented", 0),
-        (9, 3, "oriented", 2),
-        (9, 3, "w1-adjoined", 7),
+        (9, 3, "oriented", 1),
+        (9, 3, "w1-adjoined", 1),
     ],
 )
 def test_zero_rows_only_where_the_generators_are_not_regular(monkeypatch, n, k, kind, zero_rows):
@@ -154,6 +163,72 @@ def test_signature_rows_are_dropped_once_the_top_degree_is_built():
 
 
 def test_signature_rows_kept_for_the_last_max_weight_degrees():
-    quotient = k3_reduced_quotient(9)
+    quotient = k3_reduced_quotient(12)
     quotient.extend_to(12)
     assert sorted(quotient._sig) == [10, 11, 12]
+
+
+@pytest.mark.parametrize("n,k,top,zeros", [(9, 3, 8, [1, 7]), (10, 4, 12, [1, 11])])
+def test_isolated_zero_degrees_do_not_stop_the_ladder(n, k, top, zeros):
+    # Runs of zero degrees shorter than max(weights) leave the build going.
+    ctx = GrassmannPresentation(n, k).oriented()
+    betti = ctx.betti()
+    assert ctx.top == top
+    assert [d for d in range(top) if betti[d] == 0] == zeros
+    assert betti[top] and not any(betti[top + 1 :])
+
+
+@pytest.mark.parametrize("n,k", RINGS)
+def test_unoriented_ladder_builds_to_the_formal_dimension(n, k):
+    pres = GrassmannPresentation(n, k)
+    assert pres.betti()[-1] == 1
+    assert pres.top == pres.N
+
+
+@pytest.mark.parametrize("read", ["betti", "longest_product"])
+@pytest.mark.parametrize("n,k", [(9, 3), (10, 4), (16, 7), (19, 5)])
+def test_stopped_ladder_keeps_only_degrees_up_to_its_top(n, k, read):
+    ctx = GrassmannPresentation(n, k).oriented()
+    if read == "betti":
+        ctx.betti()
+    else:
+        longest_monomial_product(ctx)
+    assert ctx.top < ctx.N
+    assert len(ctx._elims) == len(ctx._owner) == ctx.top + 1
+    assert ctx._sig == {}
+
+
+@pytest.mark.parametrize("first", ["dim", "normal_form", "times", "none"])
+def test_reads_above_the_learned_top_are_zero_and_build_nothing(monkeypatch, first):
+    ctx = GrassmannPresentation(16, 7).oriented()
+    w2 = Gf2Polynomial.variable(ctx.weights, 2)
+    reads = {
+        "dim": lambda: ctx.dim(60),
+        "normal_form": lambda: ctx.normal_form(w2**30),
+        "times": lambda: ctx.times(1, 0, w2**30),
+    }
+    # On a fresh ring each read learns the top (48, of N = 63) while it builds, then answers zero.
+    if first != "none":
+        assert not reads[first]()
+        assert ctx.top == 48
+    ctx.betti()
+    built = len(ctx._elims), [len(c) for c in ctx._counts], len(ctx._blocks)
+    monkeypatch.setattr(ctx, "_build", lambda d: pytest.fail(f"built degree {d}"))
+    for read in reads.values():
+        assert not read()
+    assert ctx.dim(ctx.N) == 0
+    assert (len(ctx._elims), [len(c) for c in ctx._counts], len(ctx._blocks)) == built
+
+
+def test_basis_cap_between_the_stopped_ladder_and_the_formal_dimension():
+    # The oriented (16, 7) ladder stops after degree 48 + max(weights) = 55, short of N = 63, so a
+    # basis cap wider than every degree it builds but narrower than degree N no longer refuses it.
+    ctx = GrassmannPresentation(16, 7).oriented()
+    expected = ctx.betti()
+    built = max(len(monomial_basis(ctx.weights, d)) for d in range(ctx.top + max(ctx.weights) + 1))
+    assert built < len(monomial_basis(ctx.weights, ctx.N))
+    capped = GrassmannPresentation(16, 7, SizeCaps(max_basis=built)).oriented()
+    assert capped.betti() == expected
+    below = GrassmannPresentation(16, 7, SizeCaps(max_basis=built - 1)).oriented()
+    with pytest.raises(SizeCapExceeded):
+        below.betti()
