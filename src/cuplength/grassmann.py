@@ -181,6 +181,8 @@ class GradedQuotient:
         if d >= m - 1 and all(self._counts[-1][e] == self._elims[e].rank for e in range(d - m + 1, d + 1)):
             self.top = d - m
             del self._elims[d - m + 1 :], self._owner[d - m + 1 :]
+            # Nothing reads a block table into a vanished degree.
+            self._blocks = {key: t for key, t in self._blocks.items() if key[0] + self.weights[key[1]] <= self.top}
         if self._vanishes(d + 1):
             self._sig.clear()
 
@@ -438,46 +440,64 @@ def longest_monomial_product(ctx: GrassmannPresentation) -> tuple[tuple[int, ...
     and keep the lexicographically smallest exponent vector.  Returns
     (exponents, length, degree) maximizing length + (1 if degree < N), ties
     broken by larger length, then smaller exponent vector.
+
+    The walk is pruned to a target length L.  A state of length l in degree d
+    has no descendant longer than l + (top - d) // min(weights), and a child's
+    bound is never above its parent's, so a pass skips every child whose
+    bound is below L.  The first pass takes L = top // min(weights), the
+    unit's own bound; a pass that reaches no product of length L lowers L by
+    one and walks again.  This is exact.  The score adds at most 1 and ties
+    go to the longer product, so the answer has the maximal length L*.  A
+    pass with L > L* reaches no length L.  The pass with L = L* keeps every
+    state with a descendant of length L*, so every path to such a state.  The
+    bound depends only on (length, degree), so a kept state's parents are all
+    kept, and each merge keeps the unpruned walk's smallest exponent vector.
     """
     weights = ctx.weights
     ctx.extend_to(ctx.N)
     elims = ctx._elims
     shift = ctx._shift
-    # The unit: degree 0 has the single basis monomial 1 and no ideal rows.
-    frontier: dict[tuple[int, int], tuple[int, ...]] = {(0, 1): tuple(0 for _ in weights)}
-    best_exps = tuple(0 for _ in weights)
-    best_len = 0
-    best_deg = 0
+    top = ctx.top
+    step = min(weights)
 
     def score(length: int, degree: int) -> int:
         return length + (1 if degree < ctx.N else 0)
 
-    length = 0
-    while frontier:
-        length += 1
-        nxt: dict[tuple[int, int], tuple[int, ...]] = {}
-        for (d, nf), exps in frontier.items():
-            for pos, w in enumerate(weights):
-                nd = d + w
-                if nd > ctx.top:
-                    continue
-                nnf = elims[nd].reduce(shift(nf, d, pos))
-                if not nnf:
-                    continue
-                nexps = exps[:pos] + (exps[pos] + 1,) + exps[pos + 1 :]
-                key = (nd, nnf)
-                old = nxt.get(key)
-                if old is None or nexps < old:
-                    nxt[key] = nexps
-        for (d, _), exps in nxt.items():
-            if (score(length, d), length, tuple(-e for e in exps)) > (
-                score(best_len, best_deg),
-                best_len,
-                tuple(-e for e in best_exps),
-            ):
-                best_exps, best_len, best_deg = exps, length, d
-        frontier = nxt
-    return best_exps, best_len, best_deg
+    target = top // step
+    while True:
+        # The unit: degree 0 has the single basis monomial 1 and no ideal rows.
+        frontier: dict[tuple[int, int], tuple[int, ...]] = {(0, 1): tuple(0 for _ in weights)}
+        best_exps = tuple(0 for _ in weights)
+        best_len = 0
+        best_deg = 0
+        length = 0
+        while frontier:
+            length += 1
+            nxt: dict[tuple[int, int], tuple[int, ...]] = {}
+            for (d, nf), exps in frontier.items():
+                for pos, w in enumerate(weights):
+                    nd = d + w
+                    if nd > top or length + (top - nd) // step < target:
+                        continue
+                    nnf = elims[nd].reduce(shift(nf, d, pos))
+                    if not nnf:
+                        continue
+                    nexps = exps[:pos] + (exps[pos] + 1,) + exps[pos + 1 :]
+                    key = (nd, nnf)
+                    old = nxt.get(key)
+                    if old is None or nexps < old:
+                        nxt[key] = nexps
+            for (d, _), exps in nxt.items():
+                if (score(length, d), length, tuple(-e for e in exps)) > (
+                    score(best_len, best_deg),
+                    best_len,
+                    tuple(-e for e in best_exps),
+                ):
+                    best_exps, best_len, best_deg = exps, length, d
+            frontier = nxt
+        if best_len >= target:
+            return best_exps, best_len, best_deg
+        target -= 1
 
 
 RECORD_SCHEMA = 1

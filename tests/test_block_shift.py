@@ -25,14 +25,16 @@ from cuplength.grassmann import (
 )
 
 # Tables are checked for every source degree d and variable x_p with d + w_p <= TOP.
+# A ring drops its tables into degrees above its top once it learns it, so
+# no ring here may learn a top below TOP.
 TOP = 16
 
 QUOTIENTS = {
     "unoriented (1, 2, 3)": lambda: GrassmannPresentation(12, 3),
     "unoriented (1, ..., 5)": lambda: GrassmannPresentation(10, 5),
-    "oriented (2, 3, 4)": lambda: GrassmannPresentation(10, 4).oriented(),
+    "oriented (2, 3, 4)": lambda: GrassmannPresentation(12, 4).oriented(),
     "oriented (2, ..., 6)": lambda: GrassmannPresentation(12, 6).oriented(),
-    "w1-adjoined (1, ..., 4)": lambda: w1_adjoined_quotient(10, 4),
+    "w1-adjoined (1, ..., 4)": lambda: w1_adjoined_quotient(12, 4),
     "closed form (2, 3)": lambda: k3_reduced_quotient(12),
 }
 
@@ -58,6 +60,7 @@ def column_map(weights, degree: int, pos: int) -> list[int]:
 def built(kind: str):
     quotient = QUOTIENTS[kind]()
     quotient.extend_to(TOP)
+    assert quotient.top is None or quotient.top >= TOP, kind
     return quotient
 
 

@@ -3,10 +3,12 @@
 Both build degree d of the ideal and finalize it; a subspace has exactly one
 reduced echelon form, so equal spans mean equal pivot rows, which is what the
 grid below asserts.  The regularity check and the zero-row bookkeeping of
-non-regular generator lists are pinned here too; CI also runs this file
+non-regular generator lists are pinned here too, and so is the pruned
+longest-product search against the unpruned walk.  CI also runs this file
 under python -O, where an assert-based check would vanish.
 """
 
+import random
 from array import array
 
 import pytest
@@ -196,6 +198,9 @@ def test_stopped_ladder_keeps_only_degrees_up_to_its_top(n, k, read):
     assert ctx.top < ctx.N
     assert len(ctx._elims) == len(ctx._owner) == ctx.top + 1
     assert ctx._sig == {}
+    # Block tables into the dropped degrees go with them.
+    assert ctx._blocks
+    assert max(d + ctx.weights[p] for d, p in ctx._blocks) <= ctx.top
 
 
 @pytest.mark.parametrize("first", ["dim", "normal_form", "times", "none"])
@@ -232,3 +237,103 @@ def test_basis_cap_between_the_stopped_ladder_and_the_formal_dimension():
     below = GrassmannPresentation(16, 7, SizeCaps(max_basis=built - 1)).oriented()
     with pytest.raises(SizeCapExceeded):
         below.betti()
+
+
+def unpruned_longest_product(ctx):
+    """The longest-product search as it was before pruning: every reachable
+    class at every length, with the same merge rule and scoring.  Kept as an
+    oracle for the pruned search."""
+    weights = ctx.weights
+    ctx.extend_to(ctx.N)
+    elims = ctx._elims
+    shift = ctx._shift
+    frontier = {(0, 1): tuple(0 for _ in weights)}
+    best_exps = tuple(0 for _ in weights)
+    best_len = 0
+    best_deg = 0
+
+    def score(length, degree):
+        return length + (1 if degree < ctx.N else 0)
+
+    length = 0
+    while frontier:
+        length += 1
+        nxt = {}
+        for (d, nf), exps in frontier.items():
+            for pos, w in enumerate(weights):
+                nd = d + w
+                if nd > ctx.top:
+                    continue
+                nnf = elims[nd].reduce(shift(nf, d, pos))
+                if not nnf:
+                    continue
+                nexps = exps[:pos] + (exps[pos] + 1,) + exps[pos + 1 :]
+                key = (nd, nnf)
+                old = nxt.get(key)
+                if old is None or nexps < old:
+                    nxt[key] = nexps
+        for (d, _), exps in nxt.items():
+            if (score(length, d), length, tuple(-e for e in exps)) > (
+                score(best_len, best_deg),
+                best_len,
+                tuple(-e for e in best_exps),
+            ):
+                best_exps, best_len, best_deg = exps, length, d
+        frontier = nxt
+    return best_exps, best_len, best_deg
+
+
+# The oriented rings of the bench's sweep workload (sweep 6 12 16, 7 14 16, 5 10 20), and (24, 6).
+SWEEP_RINGS = [(n, 6) for n in range(12, 17)] + [(n, 7) for n in range(14, 17)] + [(n, 5) for n in range(10, 21)]
+
+
+@pytest.mark.parametrize("n,k", SWEEP_RINGS + [(24, 6)])
+def test_pruned_search_matches_unpruned_search_on_oriented_rings(n, k):
+    ctx = GrassmannPresentation(n, k).oriented()
+    assert longest_monomial_product(ctx) == unpruned_longest_product(ctx)
+
+
+@pytest.mark.parametrize("n,k", [(6, 3), (9, 3), (8, 4), (10, 4), (10, 5), (11, 5)])
+def test_pruned_search_matches_unpruned_search_on_unoriented_rings(n, k):
+    # Weights start at 1 here: the first target is N itself, and the longest
+    # product is shorter, so the search lowers its target at least once.
+    pres = GrassmannPresentation(n, k)
+    expected = unpruned_longest_product(pres)
+    assert expected[1] < pres.N
+    assert longest_monomial_product(pres) == expected
+
+
+def random_oriented_ring(seed: int) -> GradedQuotient:
+    """Z2[w2..wk] modulo k random homogeneous generators in the consecutive
+    degrees D..D+k-1, as the oriented generators lie, cut off at a random N."""
+    rng = random.Random(seed)
+    k = rng.randint(3, 5)
+    weights = tuple(range(2, k + 1))
+    D = rng.randint(3, 9)
+    gens = []
+    for d in range(D, D + k):
+        basis = monomial_basis(weights, d)
+        if basis:
+            gens.append(Gf2Polynomial(weights, rng.sample(basis, rng.randint(1, len(basis)))))
+    N = rng.randint(D + 2, 3 * D + 2)
+    ring = GradedQuotient(weights, gens, top=N)
+    ring.N = N
+    return ring
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_pruned_search_matches_unpruned_search_on_random_rings(seed):
+    ring = random_oriented_ring(seed)
+    assert longest_monomial_product(ring) == unpruned_longest_product(ring)
+
+
+def test_pruned_search_reduces_a_fraction_of_the_states(monkeypatch):
+    calls = []
+    reduce = Eliminator.reduce
+    monkeypatch.setattr(Eliminator, "reduce", lambda self, v: calls.append(v) or reduce(self, v))
+    ctx = GrassmannPresentation(16, 6).oriented()
+    ctx.extend_to(ctx.N)
+    longest_monomial_product(ctx)
+    pruned = len(calls)
+    unpruned_longest_product(ctx)
+    assert 0 < 4 * pruned < len(calls) - pruned
