@@ -232,19 +232,10 @@ def summarize_oriented(pres: GrassmannPresentation) -> OrientedSummary:
     )
 
 
-def default_q(char_dims) -> int:
-    """Second nonzero reduced degree: first degree above 2 with classes present."""
-    for d in range(3, len(char_dims)):
-        if char_dims[d]:
-            return d
-    raise ValueError("no second nonzero degree below the formal dimension")
-
-
 def full_report(
     n: int,
     k: int,
     field_tag: str = "Z2",
-    q_override: int | None = None,
     caps: SizeCaps = DEFAULT_CAPS,
     summary: OrientedSummary | None = None,
 ) -> BoundReport:
@@ -299,13 +290,15 @@ def full_report(
 
     if summary is None:
         summary = summarize_oriented(GrassmannPresentation(n, k, caps))
-    if summary.char_dims[2] != 1:
+    # (b1) needs no classes strictly between r = 2 and q.  The relations start
+    # in degree n - k + 1 >= 4, so w3 is nonzero in degree 3 and q = 3.
+    b2, b3 = summary.char_dims[2:4]
+    if b2 != 1 or not b3:
         raise RuntimeError(
-            f"degree-2 characteristic subalgebra has dimension {summary.char_dims[2]},"
-            " breaking the r = 2 single-generator profile"
+            f"characteristic subalgebra has dimensions {b2}, {b3} in degrees 2, 3,"
+            " breaking the r = 2, q = 3 profile"
         )
-    q = q_override or default_q(summary.char_dims)
-    profile = PoincareProfile(N, 2, q, "Z2")
+    profile = PoincareProfile(N, 2, 3, "Z2")
     ht_or = summary.ht_w2
     reduced_weights = tuple(range(2, k + 1))
 
@@ -358,7 +351,7 @@ def full_report(
         if 2 * ht_or < N:
             sharp = upper_b1(profile, NilpotencyData((ht_or,)))
             certs.append(
-                ("(b1) computed", f"exponent {ht_or}, q = {q}: upper bound {sharp}")
+                ("(b1) computed", f"exponent {ht_or}, q = {profile.q}: upper bound {sharp}")
             )
             if sharp < best_up.value:
                 best_up = Bound(sharp, "(b1) computed height")

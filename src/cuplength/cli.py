@@ -68,10 +68,8 @@ def _caps(args) -> SizeCaps:
 
 
 def _report_caps(args) -> SizeCaps:
-    """The caps of bounds and sweep, once --max-degree, --q-override and --cache-dir are validated."""
+    """The caps of bounds and sweep, once --max-degree and --cache-dir are validated."""
     caps = _caps(args)
-    if args.q_override is not None and args.q_override <= 2:
-        raise ValueError("--q-override must exceed the first nonzero degree 2")
     if args.cache_dir and not os.path.isdir(args.cache_dir):
         raise ValueError(f"--cache-dir {args.cache_dir!r} is not an existing directory")
     return caps
@@ -99,7 +97,7 @@ def _cached_summary(n: int, k: int, args, caps: SizeCaps) -> OrientedSummary:
 
 def _build_report(n: int, k: int, field_tag: str, args, caps: SizeCaps):
     summary = _cached_summary(n, k, args, caps) if field_tag == "Z2" else None
-    return full_report(n, k, field_tag, q_override=args.q_override, caps=caps, summary=summary)
+    return full_report(n, k, field_tag, caps=caps, summary=summary)
 
 
 def _report_row(report) -> tuple:
@@ -277,14 +275,13 @@ OPTIONS = {
     "--oriented": {"action": "store_true"},
     "--cache-dir": {"default": None},
     "--no-cache": {"action": "store_true"},
-    "--q-override": {"type": int, "default": None, "metavar": "Q"},
     "--field": {"choices": ("gf2", "rational", "both"), "default": "gf2"},
     "--only": {"default": None, "metavar": "CHECK"},
     "--max-n": {"type": int, "default": None},
 }
 
 RING_OPTIONS = ("--format", "--max-degree")
-REPORT_OPTIONS = RING_OPTIONS + ("--cache-dir", "--no-cache", "--q-override", "--field")
+REPORT_OPTIONS = RING_OPTIONS + ("--cache-dir", "--no-cache", "--field")
 
 
 def build_parser() -> argparse.ArgumentParser:

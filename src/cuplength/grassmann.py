@@ -9,6 +9,7 @@ monomial in w2..wk is nonzero there iff it is not in I + (w1).
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 import tempfile
@@ -435,23 +436,21 @@ def w1_adjoined_quotient(n: int, k: int, caps: SizeCaps = DEFAULT_CAPS) -> Grade
 def longest_monomial_product(ctx: GrassmannPresentation) -> tuple[tuple[int, ...], int, int]:
     """Longest nonzero product of oriented classes, scored for the cup-length bound.
 
-    Breadth-first walk over quotient classes: states are (degree, reduced
-    vector), extended one variable at a time; states with equal vectors merge
-    and keep the lexicographically smallest exponent vector.  Returns
+    States are quotient classes (degree, reduced vector), extended one
+    variable at a time; states of one length with equal vectors merge and
+    keep the lexicographically smallest exponent vector.  Returns
     (exponents, length, degree) maximizing length + (1 if degree < N), ties
-    broken by larger length, then smaller exponent vector.
+    broken by larger length, then smaller exponent vector: of the longest
+    states, one below N first, then the smallest exponent vector.
 
-    The walk is pruned to a target length L.  A state of length l in degree d
-    has no descendant longer than l + (top - d) // min(weights), and a child's
-    bound is never above its parent's, so a pass skips every child whose
-    bound is below L.  The first pass takes L = top // min(weights), the
-    unit's own bound; a pass that reaches no product of length L lowers L by
-    one and walks again.  This is exact.  The score adds at most 1 and ties
-    go to the longer product, so the answer has the maximal length L*.  A
-    pass with L > L* reaches no length L.  The pass with L = L* keeps every
-    state with a descendant of length L*, so every path to such a state.  The
-    bound depends only on (length, degree), so a kept state's parents are all
-    kept, and each merge keeps the unpruned walk's smallest exponent vector.
+    Best-first: a child of length l in degree d has no descendant longer
+    than b = l + (top - d) // min(weights).  Steps (state, variable) wait in
+    (b, l) groups, highest b first, then shortest l, and the walk stops once
+    the next b is below the deepest length found, L* at the end.  A child's
+    b is never above its parent's and its length is one more, so all of a
+    state's parents are merged before it is.  Every state of length L* and
+    its ancestors have b >= L*, so all are reached, each reduced once, with
+    the unpruned walk's exponent vectors.
     """
     weights = ctx.weights
     ctx.extend_to(ctx.N)
@@ -459,45 +458,39 @@ def longest_monomial_product(ctx: GrassmannPresentation) -> tuple[tuple[int, ...
     shift = ctx._shift
     top = ctx.top
     step = min(weights)
-
-    def score(length: int, degree: int) -> int:
-        return length + (1 if degree < ctx.N else 0)
-
-    target = top // step
+    # The unit: degree 0 has the single basis monomial 1 and no ideal rows.
+    deepest = merged = {(0, 1): tuple(0 for _ in weights)}
+    length = deepest_len = 0
+    groups: dict[tuple[int, int], list] = {}
+    heap: list[tuple[int, int]] = []
     while True:
-        # The unit: degree 0 has the single basis monomial 1 and no ideal rows.
-        frontier: dict[tuple[int, int], tuple[int, ...]] = {(0, 1): tuple(0 for _ in weights)}
-        best_exps = tuple(0 for _ in weights)
-        best_len = 0
-        best_deg = 0
-        length = 0
-        while frontier:
-            length += 1
-            nxt: dict[tuple[int, int], tuple[int, ...]] = {}
-            for (d, nf), exps in frontier.items():
-                for pos, w in enumerate(weights):
-                    nd = d + w
-                    if nd > top or length + (top - nd) // step < target:
-                        continue
-                    nnf = elims[nd].reduce(shift(nf, d, pos))
-                    if not nnf:
-                        continue
-                    nexps = exps[:pos] + (exps[pos] + 1,) + exps[pos + 1 :]
-                    key = (nd, nnf)
-                    old = nxt.get(key)
-                    if old is None or nexps < old:
-                        nxt[key] = nexps
-            for (d, _), exps in nxt.items():
-                if (score(length, d), length, tuple(-e for e in exps)) > (
-                    score(best_len, best_deg),
-                    best_len,
-                    tuple(-e for e in best_exps),
-                ):
-                    best_exps, best_len, best_deg = exps, length, d
-            frontier = nxt
-        if best_len >= target:
-            return best_exps, best_len, best_deg
-        target -= 1
+        for (d, nf), exps in merged.items():
+            for pos, w in enumerate(weights):
+                if d + w <= top:
+                    key = (-(length + 1 + (top - d - w) // step), length + 1)
+                    group = groups.setdefault(key, [])
+                    if not group:
+                        heapq.heappush(heap, key)
+                    group.append((d, nf, pos, exps))
+        if not heap or -heap[0][0] < deepest_len:
+            break
+        key = heapq.heappop(heap)
+        length = key[1]
+        merged = {}
+        for d, nf, pos, exps in groups.pop(key):
+            nd = d + weights[pos]
+            nnf = elims[nd].reduce(shift(nf, d, pos))
+            if nnf:
+                nexps = exps[:pos] + (exps[pos] + 1,) + exps[pos + 1 :]
+                old = merged.get((nd, nnf))
+                if old is None or nexps < old:
+                    merged[nd, nnf] = nexps
+        if merged and length > deepest_len:
+            deepest, deepest_len = merged, length
+        elif length == deepest_len:
+            deepest.update(merged)
+    _, exps, d = min((d >= ctx.N, exps, d) for (d, _), exps in deepest.items())
+    return exps, deepest_len, d
 
 
 RECORD_SCHEMA = 1

@@ -1,5 +1,6 @@
 """Bound arithmetic, closed-form tables, and report assembly."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -189,11 +190,15 @@ def test_report_closed_form_only():
     assert report.paper_cat_lower == 6
 
 
-def test_report_q_override():
-    default = full_report(9, 3)
-    wide = full_report(9, 3, q_override=4)
-    assert wide.upper <= default.upper
-    assert wide.lower <= wide.upper
+def test_b1_takes_q_3_and_refuses_a_summary_without_degree_3():
+    summary = summarize_oriented(GrassmannPresentation(9, 3))
+    report = full_report(9, 3, summary=summary)
+    assert ("(b1) computed", "exponent 4, q = 3: upper bound 7") in report.certificates
+    assert (report.upper, report.upper_method) == (7, "(b1) computed height")
+    # With no class in degree 3, (b1) would need q > 3; the report refuses instead.
+    no_w3 = dataclasses.replace(summary, char_dims=summary.char_dims[:3] + (0,) + summary.char_dims[4:])
+    with pytest.raises(RuntimeError, match=r"dimensions 1, 0 in degrees 2, 3"):
+        full_report(9, 3, summary=no_w3)
 
 
 def test_report_from_summary_matches_fresh(tmp_path):

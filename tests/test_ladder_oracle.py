@@ -239,10 +239,11 @@ def test_basis_cap_between_the_stopped_ladder_and_the_formal_dimension():
         below.betti()
 
 
-def unpruned_longest_product(ctx):
+def unpruned_longest_product(ctx, target=0):
     """The longest-product search as it was before pruning: every reachable
     class at every length, with the same merge rule and scoring.  Kept as an
-    oracle for the pruned search."""
+    oracle for the pruned search.  A target skips every child whose bound
+    l + (top - d) // min(weights) is below it, one pruned pass at that length."""
     weights = ctx.weights
     ctx.extend_to(ctx.N)
     elims = ctx._elims
@@ -262,7 +263,7 @@ def unpruned_longest_product(ctx):
         for (d, nf), exps in frontier.items():
             for pos, w in enumerate(weights):
                 nd = d + w
-                if nd > ctx.top:
+                if nd > ctx.top or length + (ctx.top - nd) // min(weights) < target:
                     continue
                 nnf = elims[nd].reduce(shift(nf, d, pos))
                 if not nnf:
@@ -295,12 +296,38 @@ def test_pruned_search_matches_unpruned_search_on_oriented_rings(n, k):
 
 @pytest.mark.parametrize("n,k", [(6, 3), (9, 3), (8, 4), (10, 4), (10, 5), (11, 5)])
 def test_pruned_search_matches_unpruned_search_on_unoriented_rings(n, k):
-    # Weights start at 1 here: the first target is N itself, and the longest
-    # product is shorter, so the search lowers its target at least once.
+    # Weights start at 1 here: the unit's bound is N itself, and the longest
+    # product is shorter, so the walk ends below the bound it starts from.
     pres = GrassmannPresentation(n, k)
     expected = unpruned_longest_product(pres)
     assert expected[1] < pres.N
     assert longest_monomial_product(pres) == expected
+
+
+def count_reductions(monkeypatch, search, ring):
+    calls = []
+    reduce = Eliminator.reduce
+    with monkeypatch.context() as m:
+        m.setattr(Eliminator, "reduce", lambda self, v: calls.append(v) or reduce(self, v))
+        result = search(ring)
+    return result, len(calls)
+
+
+@pytest.mark.parametrize(
+    "n,k,oriented",
+    [(n, k, True) for n, k in SWEEP_RINGS + [(24, 6)]]
+    + [(n, k, False) for n, k in [(6, 3), (9, 3), (8, 4), (10, 4), (10, 5), (11, 5)]],
+)
+def test_search_reduces_as_often_as_one_pass_at_the_answers_length(monkeypatch, n, k, oriented):
+    # No level is walked twice: the best-first walk reduces exactly the steps
+    # of the single pruned pass at the final length.
+    ring = GrassmannPresentation(n, k)
+    ring = ring.oriented() if oriented else ring
+    ring.extend_to(ring.N)
+    result, walk = count_reductions(monkeypatch, longest_monomial_product, ring)
+    expected, one_pass = count_reductions(monkeypatch, lambda r: unpruned_longest_product(r, result[1]), ring)
+    assert result == expected
+    assert walk == one_pass
 
 
 def random_oriented_ring(seed: int) -> GradedQuotient:
