@@ -190,6 +190,14 @@ def test_report_closed_form_only():
     assert report.paper_cat_lower == 6
 
 
+def test_report_q_override():
+    # q = 3 is fixed; full_report takes no override of it.
+    with pytest.raises(TypeError, match="q_override"):
+        full_report(9, 3, q_override=4)
+    report = full_report(9, 3)
+    assert report.lower <= report.upper
+
+
 def test_b1_takes_q_3_and_refuses_a_summary_without_degree_3():
     summary = summarize_oriented(GrassmannPresentation(9, 3))
     report = full_report(9, 3, summary=summary)

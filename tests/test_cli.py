@@ -392,6 +392,13 @@ def test_each_command_accepts_only_the_options_it_reads(capsys, command, positio
         assert f"error: unrecognized arguments: {option} x" in err
 
 
+def test_q_override_validation(capsys):
+    # q = 3 is fixed, so the option is gone and argparse refuses it.
+    code, _, err = run(capsys, "bounds", "9", "3", "--q-override", "2")
+    assert code == EXIT_USAGE
+    assert "unrecognized arguments: --q-override 2" in err
+
+
 # sha256 of the empty string: the stream was not written to.
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
