@@ -5,7 +5,6 @@ from .bounds import (
     NilpotencyData,
     OrientedSummary,
     PoincareProfile,
-    RationalBounds,
     check_a2,
     full_report,
     grossman_upper,
@@ -13,7 +12,6 @@ from .bounds import (
     prop_b_certificate,
     prop_b_lower,
     prop_d_upper,
-    rational_bounds,
     summarize_oriented,
     upper_a1,
     upper_b1,

@@ -184,26 +184,6 @@ def prop_d_upper(n: int, k: int) -> int:
     return min(prop_d_upper_table_value(n, k), k * (n - k) // 2)
 
 
-@dataclass(frozen=True)
-class RationalBounds:
-    lower: int
-    upper: int
-    exact: bool
-
-
-def rational_bounds(n: int, k: int) -> RationalBounds:
-    """Closed-form rational bounds from the degree-4 class height."""
-    if k < 4:
-        raise ValueError("rational bounds need k >= 4")
-    if n < 2 * k:
-        raise ValueError("need n >= 2k")
-    N = k * (n - k)
-    h = rational_p1_height(n, k)
-    lower = 1 + h if 4 * h < N else h
-    upper = N // 4
-    return RationalBounds(lower, upper, lower == upper)
-
-
 def grossman_upper(dim: int, r: int) -> int:
     """Category bound 1 + dim/r for an (r-1)-connected space (connectedness assumed)."""
     if not (dim >= r >= 1):
@@ -239,140 +219,106 @@ def full_report(
     caps: SizeCaps = DEFAULT_CAPS,
     summary: OrientedSummary | None = None,
 ) -> BoundReport:
-    """Assemble closed-form and engine-sharpened bounds for (n, k)."""
+    """Assemble closed-form and engine-sharpened bounds for (n, k).
+
+    Over Q both bounds are closed forms in the degree-4 class height.  Over
+    Z2 the paper's table bounds are re-derived from their certificates and
+    sharpened by the oriented ring's w2 height and longest nonzero product.
+    """
     check_domain(n, k)
+    if field_tag not in ("Z2", "Q"):
+        raise ValueError(f"unknown field tag {field_tag!r}")
     N = k * (n - k)
-    grossman = grossman_upper(N, 2)
+    certs: list[tuple[str, str]] = []
     if field_tag == "Q":
-        rb = rational_bounds(n, k)
         h = rational_p1_height(n, k)
-        certs = [("degree-4-height", f"closed form {h}")]
-        method_low = "B(e)"
+        certs.append(("degree-4-height", f"closed form {h}"))
+        paper_low = best_low = Bound(1 + h if 4 * h < N else h, "B(e)")
+        paper_up = best_up = Bound(N // 4, "D(c)")
         if 4 * h == N:
             certs.append(("(a2)", f"4 * {h} = {N} forces the exact value {N // 4}"))
-            method_low = "(a2)"
-        return BoundReport(
-            n=n,
-            k=k,
-            field_tag="Q",
-            lower=rb.lower,
-            lower_method=method_low,
-            upper=rb.upper,
-            upper_method="D(c)",
-            paper_lower=rb.lower,
-            paper_lower_method="B(e)",
-            paper_upper=rb.upper,
-            paper_upper_method="D(c)",
-            cat_lower=cat_lower(rb.lower),
-            cat_upper=grossman,
-            paper_cat_lower=cat_lower(rb.lower),
-            exact=rb.exact,
-            certificates=tuple(certs),
-        )
-    if field_tag != "Z2":
-        raise ValueError(f"unknown field tag {field_tag!r}")
-
-    paper_low = prop_b_lower(n, k)
-    paper_low_method = prop_b_lower_method(n, k)
-    paper_up = prop_d_upper(n, k)
-    a1_value = N // 2
-    if (n, k) == (6, 3):
-        paper_up_method = "D(a)"
-    elif prop_d_upper_table_value(n, k) > a1_value:
-        paper_up_method = "(a1)"
+            best_low = Bound(h, "(a2)")
     else:
-        paper_up_method = "D(b)"
+        if (n, k) == (6, 3):
+            paper_up_method = "D(a)"
+        elif prop_d_upper_table_value(n, k) > N // 2:
+            paper_up_method = "(a1)"
+        else:
+            paper_up_method = "D(b)"
+        paper_low = best_low = Bound(prop_b_lower(n, k), prop_b_lower_method(n, k))
+        paper_up = best_up = Bound(prop_d_upper(n, k), paper_up_method)
 
-    certs: list[tuple[str, str]] = []
-    best_low = Bound(paper_low, paper_low_method)
-    best_up = Bound(paper_up, paper_up_method)
-    exact = False
-
-    if summary is None:
-        summary = summarize_oriented(GrassmannPresentation(n, k, caps))
-    # (b1) needs no classes strictly between r = 2 and q.  The relations start
-    # in degree n - k + 1 >= 4, so w3 is nonzero in degree 3 and q = 3.
-    b2, b3 = summary.char_dims[2:4]
-    if b2 != 1 or not b3:
-        raise RuntimeError(
-            f"characteristic subalgebra has dimensions {b2}, {b3} in degrees 2, 3,"
-            " breaking the r = 2, q = 3 profile"
-        )
-    profile = PoincareProfile(N, 2, 3, "Z2")
-    ht_or = summary.ht_w2
-    reduced_weights = tuple(range(2, k + 1))
-
-    cert_exps, cert_len, cert_deg = prop_b_certificate(n, k)
-    cert_render = Gf2Polynomial(reduced_weights, [cert_exps]).render()
-    cert_is_w2_power = all(e == 0 for e in cert_exps[1:])
-    cert_survives = (
-        cert_exps[0] <= ht_or
-        if cert_is_w2_power
-        else lower_a3(profile, summary.longest[1], summary.longest[2])
-        >= lower_a3(profile, cert_len, cert_deg)
-    )
-    if not cert_survives:
-        raise RuntimeError(
-            f"table certificate {cert_render} vanishes for ({n}, {k}): computation bug"
-        )
-    certs.append(
-        (
-            "table-certificate",
-            f"{cert_render} nonzero, length {cert_len}, degree {cert_deg}",
-        )
-    )
-    table_low = lower_a3(profile, cert_len, cert_deg)
-    if table_low != paper_low:
-        raise RuntimeError(
-            f"certificate bound {table_low} disagrees with closed form {paper_low}"
-        )
-
-    certs.append(
-        ("oriented-height", f"ht = {ht_or}: w2^{ht_or} nonzero, w2^{ht_or + 1} zero")
-    )
-    if lower_a3(profile, ht_or, 2 * ht_or) > best_low.value:
-        best_low = Bound(lower_a3(profile, ht_or, 2 * ht_or), "(a3) w2-power")
-
-    exps, length, degree = summary.longest
-    witness = Gf2Polynomial(reduced_weights, [exps]).render()
-    certs.append(("longest-product", f"{witness} nonzero, length {length}, degree {degree}"))
-    if lower_a3(profile, length, degree) > best_low.value:
-        best_low = Bound(lower_a3(profile, length, degree), "(a3) product")
-
-    a2_hit = check_a2(profile, ht_or)
-    if a2_hit is not None:
-        certs.append(("(a2)", f"2 * {ht_or} = {N} forces the exact value {a2_hit}"))
-        best_low = Bound(a2_hit, "(a2)")
-        best_up = Bound(a2_hit, "(a2)")
-        exact = True
-    else:
-        if upper_a1(profile) < best_up.value:
-            best_up = Bound(upper_a1(profile), "(a1)")
-        if 2 * ht_or < N:
-            sharp = upper_b1(profile, NilpotencyData((ht_or,)))
-            certs.append(
-                ("(b1) computed", f"exponent {ht_or}, q = {profile.q}: upper bound {sharp}")
+        if summary is None:
+            summary = summarize_oriented(GrassmannPresentation(n, k, caps))
+        # (b1) needs no classes strictly between r = 2 and q.  The relations start
+        # in degree n - k + 1 >= 4, so w3 is nonzero in degree 3 and q = 3.
+        b2, b3 = summary.char_dims[2:4]
+        if b2 != 1 or not b3:
+            raise RuntimeError(
+                f"characteristic subalgebra has dimensions {b2}, {b3} in degrees 2, 3,"
+                " breaking the r = 2, q = 3 profile"
             )
+        profile = PoincareProfile(N, 2, 3, "Z2")
+        ht_or = summary.ht_w2
+        reduced_weights = tuple(range(2, k + 1))
+
+        cert_exps, cert_len, cert_deg = prop_b_certificate(n, k)
+        cert_render = Gf2Polynomial(reduced_weights, [cert_exps]).render()
+        cert_is_w2_power = all(e == 0 for e in cert_exps[1:])
+        cert_survives = (
+            cert_exps[0] <= ht_or
+            if cert_is_w2_power
+            else lower_a3(profile, summary.longest[1], summary.longest[2])
+            >= lower_a3(profile, cert_len, cert_deg)
+        )
+        if not cert_survives:
+            raise RuntimeError(
+                f"table certificate {cert_render} vanishes for ({n}, {k}): computation bug"
+            )
+        certs.append(("table-certificate", f"{cert_render} nonzero, length {cert_len}, degree {cert_deg}"))
+        table_low = lower_a3(profile, cert_len, cert_deg)
+        if table_low != paper_low.value:
+            raise RuntimeError(
+                f"certificate bound {table_low} disagrees with closed form {paper_low.value}"
+            )
+
+        certs.append(("oriented-height", f"ht = {ht_or}: w2^{ht_or} nonzero, w2^{ht_or + 1} zero"))
+        if lower_a3(profile, ht_or, 2 * ht_or) > best_low.value:
+            best_low = Bound(lower_a3(profile, ht_or, 2 * ht_or), "(a3) w2-power")
+
+        exps, length, degree = summary.longest
+        witness = Gf2Polynomial(reduced_weights, [exps]).render()
+        certs.append(("longest-product", f"{witness} nonzero, length {length}, degree {degree}"))
+        if lower_a3(profile, length, degree) > best_low.value:
+            best_low = Bound(lower_a3(profile, length, degree), "(a3) product")
+
+        # The table's upper bound is already at most the (a1) count N // 2.
+        a2_hit = check_a2(profile, ht_or)
+        if a2_hit is not None:
+            certs.append(("(a2)", f"2 * {ht_or} = {N} forces the exact value {a2_hit}"))
+            best_low = best_up = Bound(a2_hit, "(a2)")
+        elif 2 * ht_or < N:
+            sharp = upper_b1(profile, NilpotencyData((ht_or,)))
+            certs.append(("(b1) computed", f"exponent {ht_or}, q = {profile.q}: upper bound {sharp}"))
             if sharp < best_up.value:
                 best_up = Bound(sharp, "(b1) computed height")
-    exact = exact or best_low.value == best_up.value
 
     return BoundReport(
         n=n,
         k=k,
-        field_tag="Z2",
+        field_tag=field_tag,
         lower=best_low.value,
         lower_method=best_low.method,
         upper=best_up.value,
         upper_method=best_up.method,
-        paper_lower=paper_low,
-        paper_lower_method=paper_low_method,
-        paper_upper=paper_up,
-        paper_upper_method=paper_up_method,
+        paper_lower=paper_low.value,
+        paper_lower_method=paper_low.method,
+        paper_upper=paper_up.value,
+        paper_upper_method=paper_up.method,
         cat_lower=cat_lower(best_low.value),
-        cat_upper=grossman,
-        paper_cat_lower=cat_lower(paper_low),
-        exact=exact,
+        cat_upper=grossman_upper(N, 2),
+        paper_cat_lower=cat_lower(paper_low.value),
+        exact=best_low.value == best_up.value,
         certificates=tuple(certs),
     )
 

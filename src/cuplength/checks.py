@@ -16,7 +16,6 @@ from .bounds import (
     prop_b_certificate,
     prop_b_lower,
     prop_d_upper,
-    rational_bounds,
     upper_a1,
     upper_b1,
 )
@@ -179,10 +178,10 @@ def prop_d(max_n: int | None) -> list[Line]:
 def rational(max_n: int | None) -> list[Line]:
     results = []
     for (n, k), want in (((8, 4), (4, 4, True)), ((13, 4), (9, 9, True)), ((10, 4), (6, 6, True))):
-        rb = rational_bounds(n, k)
-        got = (rb.lower, rb.upper, rb.exact)
+        report = full_report(n, k, "Q")
+        got = (report.lower, report.upper, report.exact)
         results.append((f"({n},{k})", got == want, f"expected {want}, got {got}"))
-    family = all(rational_bounds(n, 4).exact for n in range(8, _top(16, max_n) + 1, 2))
+    family = all(full_report(n, 4, "Q").exact for n in range(8, _top(16, max_n) + 1, 2))
     results.append(("even n, k=4 equality family", family, "equality flag raised"))
     return results
 

@@ -255,8 +255,5 @@ def parse_polynomial(text: str, weights) -> Gf2Polynomial:
                 if w not in weights:
                     raise ValueError(f"variable w{w} not in ring with weights {weights}")
                 exps[weights.index(w)] += e
-        terms.append(tuple(exps))
-    poly = Gf2Polynomial.zero(weights)
-    for t in terms:
-        poly = poly + Gf2Polynomial(weights, [t])
-    return poly
+        terms.append(Monomial(tuple(exps), weights))
+    return Gf2Polynomial(weights, terms)

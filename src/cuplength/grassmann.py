@@ -221,33 +221,27 @@ class GradedQuotient:
                 rests = [s for r in rests for s in range(r, -1, -w) if below[s]]
 
     def _signature_rows(self, d: int, j: int, te: int):
-        """(column of t, row) for the signatures (t, j) of degree d, in increasing order.
+        """(column of t, row) for the signatures (t, j) of degree d, in increasing signature order.
 
+        The t whose last variable is x_pos fill the columns from
+        counts[pos - 1][te] up to counts[pos][te], and x_pos maps the
+        monomials of degree te - w_pos in the variables up to x_pos, the
+        first columns of that degree, onto them in order.  So going down pos,
+        then down the source column, visits t from its highest column down.
         A zero entry in the source (skipped, or reduced to zero) has only
         multiples that would reduce to zero as well, so it yields nothing.
         """
         owner = self._owner[te]
-        found = []
-        for pos, w in enumerate(self.weights):
-            se = te - w
-            if se < 0:
+        for pos in range(len(self.weights) - 1, -1, -1):
+            w = self.weights[pos]
+            if te < w:
                 continue
             src = self._sig[d - w][j]
-            # t / x_pos has no variable after x_pos: the block of degree se
-            # whose later exponents are all zero, first if it is not empty.
-            limit = self._counts[pos][se]
-            if not limit:
-                continue
-            offset = self._blocks[se, pos][1][0]
-            for c in range(limit):
+            offset = self._counts[pos - 1][te] if pos else 0
+            for c in range(self._counts[pos][te - w] - 1, -1, -1):
                 r = src[c]
-                if r:
-                    tc = c + offset
-                    if not 0 < owner[tc] <= j:
-                        found.append((tc, r, pos))
-        found.sort(reverse=True)
-        for tc, r, pos in found:
-            yield tc, self._shift(r, d - self.weights[pos], pos)
+                if r and not 0 < owner[c + offset] <= j:
+                    yield c + offset, self._shift(r, d - w, pos)
 
     def _shift(self, v: int, degree: int, pos: int) -> int:
         """The vector v of the given degree times the variable at pos."""
@@ -541,10 +535,12 @@ def save_record(cache_dir: str, summary: OrientedSummary) -> str:
 def load_record(cache_dir: str, n: int, k: int) -> OrientedSummary | None:
     """The summary cached for (n, k); None on a miss.
 
-    ValueError on a record that is malformed, whose fields disagree with each
-    other, or whose Betti numbers below the first relation degree n - k + 1
-    are not the monomial counts of w2..wk.
+    ValueError on (n, k) outside the domain, checked before any file is read,
+    and on a record that is malformed, whose fields disagree with each other,
+    or whose Betti numbers below the first relation degree n - k + 1 are not
+    the monomial counts of w2..wk.
     """
+    check_domain(n, k)
     path = _record_path(cache_dir, n, k)
     if not os.path.exists(path):
         return None

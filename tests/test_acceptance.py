@@ -14,7 +14,7 @@ import time
 import pytest
 
 from cuplength import checks
-from cuplength.bounds import NilpotencyData, PoincareProfile, lower_a3, rational_bounds, upper_b1
+from cuplength.bounds import NilpotencyData, PoincareProfile, full_report, lower_a3, upper_b1
 from cuplength.gf2linalg import Eliminator
 from cuplength.gf2poly import Gf2Polynomial
 from cuplength.grassmann import (
@@ -163,10 +163,10 @@ def test_criterion_08_rational_bounds():
     families = True
     for k in (4, 6, 8):
         for n in range(2 * k, 2 * k + 17):
-            if n % 2 == 0 and not rational_bounds(n, k).exact:
+            if n % 2 == 0 and not full_report(n, k, "Q").exact:
                 families = False
     for t in range(1, 6):
-        if not rational_bounds(4 * t + 9, 4).exact:
+        if not full_report(4 * t + 9, 4, "Q").exact:
             families = False
     finish(8, not bad and families, f"({bad})")
 

@@ -20,7 +20,6 @@ from cuplength.bounds import (
     prop_b_lower,
     prop_d_upper,
     prop_d_upper_table_value,
-    rational_bounds,
     summarize_oriented,
     upper_a1,
     upper_b1,
@@ -131,20 +130,22 @@ def test_prop_d_dichotomy_identity():
 
 
 def test_rational_walkthroughs():
-    assert rational_bounds(8, 4) == rational_bounds(8, 4).__class__(4, 4, True)
-    assert (rational_bounds(13, 4).lower, rational_bounds(13, 4).upper) == (9, 9)
-    assert rational_bounds(10, 4).exact
-    assert rational_bounds(11, 4).exact
-    assert not rational_bounds(12, 5).exact
+    rb = full_report(8, 4, "Q")
+    assert (rb.lower, rb.upper, rb.exact) == (4, 4, True)
+    rb = full_report(13, 4, "Q")
+    assert (rb.lower, rb.upper) == (9, 9)
+    assert full_report(10, 4, "Q").exact
+    assert full_report(11, 4, "Q").exact
+    assert not full_report(12, 5, "Q").exact
     with pytest.raises(ValueError):
-        rational_bounds(9, 3)
+        full_report(9, 3, "Q")
 
 
 @settings(max_examples=150)
 @given(st.integers(4, 12), st.integers(0, 40))
 def test_rational_bounds_are_ordered(k, spread):
     n = 2 * k + spread
-    rb = rational_bounds(n, k)
+    rb = full_report(n, k, "Q")
     h = rational_p1_height(n, k)
     assert rb.lower <= rb.upper
     assert rb.upper == k * (n - k) // 4

@@ -286,6 +286,16 @@ def test_bounds_cache_inconsistent_record_rejected(tmp_path, capsys, changes, me
     assert len(err.splitlines()) == 1
 
 
+def test_bounds_cache_out_of_domain_refused_before_reading(tmp_path, capsys):
+    (tmp_path / "gr_5_1_oriented.json").write_text(
+        '{"schema":1,"n":5,"k":1,"mode":"oriented","betti":[1,0,0,0,0],"ht_w2":0,"longest_product":[[],0,0]}'
+    )
+    code, out, err = run(capsys, "bounds", "5", "1", "--cache-dir", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: need n >= 2k >= 6, got (n, k) = (5, 1)\n"
+
+
 def test_bounds_failed_certificate_is_check_failure(tmp_path, capsys):
     # A record whose height is too small to carry the table certificate w2^4.
     cache = str(tmp_path)
@@ -429,6 +439,9 @@ GOLDEN_INVOCATIONS = [
     (['bounds', '9', '3', '--field', 'rational'], 3, EMPTY, "9dda77b8acae46f407b074bd43a060aced37445b6a131343d514fa1e44e0ecb0"),
     (['bounds', '9', '3', '--q-override', '4'], 1, EMPTY, "8f771a234fcb793ca3d20be0736ee5c45fbf6d3ef5708789ab18db68d773d071"),
     (['bounds', '9', '3'], 0, "20ec9a73728a911ebc6e9ccbbedf1774b88cf8ee3f4b7a7da89e58b247b438b5", EMPTY),
+    (['bounds', '10', '5', '--field', 'both', '--format', 'json'], 0, "7604c1cecb9214e81ddbe00d4d964828f85a16a2703fafc6ab94989214d10006", EMPTY),
+    (['bounds', '13', '4', '--field', 'both', '--format', 'json'], 0, "1da5458e369194599f4ef1d38d1c5cebced41845588d6a5114cca7e46689bbd7", EMPTY),
+    (['bounds', '14', '5', '--format', 'json'], 0, "8b3446131b8180dd8787cf4523ed84c07a8d1b57b2e9cfafb23c94cd2edf219e", EMPTY),
     (['verify', '--only', 'lemma-f', '--max-n', '14'], 0, "6eb6b3dc07cc910ee5fd234d348b8f5b3a612d29f8cae4ae673ba6da80f466c6", EMPTY),
     (['verify', '--max-n', '16'], 0, "374a753922c4f3ce89f4535fb0d65b2ad0c0a36b05bfd9932c6370d0d14f0661", EMPTY),
     (['verify'], 0, "1358fdcc614292e4a0e82757aa8b404218f17453878703706c840fa834eeb63c", EMPTY),

@@ -99,6 +99,10 @@ def test_parse_golden():
         parse_polynomial("w5", W23)
     with pytest.raises(ValueError):
         parse_polynomial("w2 +", W23)
+    assert parse_polynomial("w2 + w3 + w2", W23) == poly(W23, (0, 1))
+    # Every term is checked, even one that a later term cancels.
+    with pytest.raises(ValueError, match="exceeds cap"):
+        parse_polynomial("w2^300 + w2^300", W23)
 
 
 def test_characteristic_two_cancellation():
