@@ -31,13 +31,10 @@ class PoincareProfile:
     formal_dim: int
     r: int
     q: int
-    field_tag: str
 
     def __post_init__(self):
         if not (0 < self.r <= self.q < self.formal_dim):
             raise ValueError(f"need 0 < r <= q < formal_dim, got {self}")
-        if self.field_tag not in ("Z2", "Q"):
-            raise ValueError(f"unknown field tag {self.field_tag!r}")
 
 
 @dataclass(frozen=True)
@@ -258,7 +255,7 @@ def full_report(
                 f"characteristic subalgebra has dimensions {b2}, {b3} in degrees 2, 3,"
                 " breaking the r = 2, q = 3 profile"
             )
-        profile = PoincareProfile(N, 2, 3, "Z2")
+        profile = PoincareProfile(N, 2, 3)
         ht_or = summary.ht_w2
         reduced_weights = tuple(range(2, k + 1))
 

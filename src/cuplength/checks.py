@@ -134,7 +134,7 @@ def smallest_space(max_n: int | None) -> list[Line]:
         ),
         (
             "nilpotency refinement with exponent 1",
-            upper_b1(PoincareProfile(9, 2, 3, "Z2"), NilpotencyData((1,))) == 3,
+            upper_b1(PoincareProfile(9, 2, 3), NilpotencyData((1,))) == 3,
             "1 + (9 - 2) // 3 = 3",
         ),
     ]
@@ -150,7 +150,7 @@ def prop_b(max_n: int | None) -> list[Line]:
         if ctx.is_zero(cert):
             results.append((f"({n},{k})", False, f"certificate {cert.render()} vanishes"))
             continue
-        derived = lower_a3(PoincareProfile(k * (n - k), 2, 3, "Z2"), length, degree)
+        derived = lower_a3(PoincareProfile(k * (n - k), 2, 3), length, degree)
         if derived != prop_b_lower(n, k):
             results.append((f"({n},{k})", False, f"derived {derived} != closed form {prop_b_lower(n, k)}"))
     results.append((f"{len(grid)} pairs", not results, "verified certificates match the closed forms"))
@@ -163,7 +163,7 @@ def prop_d(max_n: int | None) -> list[Line]:
     for n, k in pairs:
         N = k * (n - k)
         ht = tabulated_w2_height(n, k)
-        profile = PoincareProfile(N, 2, 3, "Z2")
+        profile = PoincareProfile(N, 2, 3)
         dichotomy = upper_b1(profile, NilpotencyData((ht,))) if 2 * ht < N else upper_a1(profile)
         if prop_d_upper(n, k) != dichotomy:
             results.append((f"({n},{k})", False, f"table {prop_d_upper(n, k)} != dichotomy {dichotomy}"))
@@ -206,7 +206,7 @@ def betti_duality(max_n: int | None) -> list[Line]:
     grid = [(n, 3) for n in range(6, 13)] + [(8, 4), (10, 4), (10, 5)]
     results = []
     for n, k in grid:
-        pres = GrassmannPresentation(n, k)
+        pres = GrassmannPresentation(n, k, ranks_only=True)
         betti = pres.betti()
         if betti != betti[::-1] or sum(betti) != math.comb(n, k):
             results.append((f"({n},{k})", False, "betti vector fails duality or total"))

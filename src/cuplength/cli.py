@@ -135,7 +135,7 @@ def _report_text(report) -> list[str]:
 
 def cmd_ring(args) -> int:
     n, k = args.n, args.k
-    pres = GrassmannPresentation(n, k, _caps(args))
+    pres = GrassmannPresentation(n, k, _caps(args), ranks_only=True)
     betti = pres.betti()
     total = sum(betti)
     binomial = math.comb(n, k)

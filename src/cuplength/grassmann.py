@@ -105,13 +105,22 @@ class GradedQuotient:
     A column is known only by counting: column c of degree d is the monomial
     with c monomials of degree d before it in the canonical order, so ranks,
     widths and block tables all come from _counts.
+
+    ranks_only keeps of a built degree only its rank: its rows live on in
+    _sig while a later degree may shift them, and no eliminator is kept, so
+    dim works but a read that reduces (normal_form, is_zero, times,
+    longest_monomial_product) raises ValueError.  The rows are still built
+    and, for a regular sequence, still checked.
     """
 
-    def __init__(self, weights, generators, caps: SizeCaps = DEFAULT_CAPS, top=None, regular_name=None):
+    def __init__(
+        self, weights, generators, caps: SizeCaps = DEFAULT_CAPS, top=None, regular_name=None, ranks_only=False
+    ):
         self.weights = tuple(weights)
         self.caps = caps
         self.top = top
         self.regular_name = regular_name
+        self.ranks_only = ranks_only
         self.generators: tuple[Gf2Polynomial, ...] = tuple(g for g in generators if g)
         self._gen_degrees: list[int] = []
         for g in self.generators:
@@ -121,6 +130,8 @@ class GradedQuotient:
             if d is None:
                 raise ValueError("generators must be homogeneous and nonzero")
             self._gen_degrees.append(d)
+        # Per built degree: the rank of its ideal part and, unless ranks_only, its eliminator.
+        self._ranks: list[int] = []
         self._elims: list[Eliminator] = []
         # Per variable position p and degree r: the number of monomials of
         # degree r in the variables up to p.
@@ -139,8 +150,8 @@ class GradedQuotient:
         if degree > self.caps.max_formal_dim:
             raise SizeCapExceeded(f"degree {degree} exceeds cap {self.caps.max_formal_dim}")
         # top is read again after each degree: the build may have learned it.
-        while len(self._elims) <= degree and not self._vanishes(len(self._elims)):
-            self._build(len(self._elims))
+        while len(self._ranks) <= degree and not self._vanishes(len(self._ranks)):
+            self._build(len(self._ranks))
 
     def _build(self, d: int) -> None:
         for p, w in enumerate(self.weights):
@@ -173,15 +184,17 @@ class GradedQuotient:
                         f"ring {self.regular_name}: a row of degree {d} from generator index {j} "
                         "reduced to zero, so the generators are not a regular sequence"
                     )
-        self._elims.append(elim)
+        self._ranks.append(elim.rank)
+        if not self.ranks_only:
+            self._elims.append(elim)
         self._owner.append(owner)
         self._sig[d] = sig
         m = max(self.weights)
         self._sig.pop(d - m, None)
         # m zero degrees in a row: the quotient ends before them (see the class docstring).
-        if d >= m - 1 and all(self._counts[-1][e] == self._elims[e].rank for e in range(d - m + 1, d + 1)):
+        if d >= m - 1 and all(self._counts[-1][e] == self._ranks[e] for e in range(d - m + 1, d + 1)):
             self.top = d - m
-            del self._elims[d - m + 1 :], self._owner[d - m + 1 :]
+            del self._ranks[d - m + 1 :], self._elims[d - m + 1 :], self._owner[d - m + 1 :]
             # Nothing reads a block table into a vanished degree.
             self._blocks = {key: t for key, t in self._blocks.items() if key[0] + self.weights[key[1]] <= self.top}
         if self._vanishes(d + 1):
@@ -287,6 +300,10 @@ class GradedQuotient:
     def _vanishes(self, degree: int) -> bool:
         return degree < 0 or (self.top is not None and degree > self.top)
 
+    def _need_rows(self, what: str) -> None:
+        if self.ranks_only:
+            raise ValueError(f"{what} needs the rows of the ladder, which a ranks_only quotient does not keep")
+
     def _reach(self, degree: int) -> bool:
         """Build the ladder up to degree; False if the quotient is zero there, top as learned."""
         if not self._vanishes(degree):
@@ -297,9 +314,10 @@ class GradedQuotient:
         """Dimension of the degree-d component of the quotient."""
         if not self._reach(degree):
             return 0
-        return self._counts[-1][degree] - self._elims[degree].rank
+        return self._counts[-1][degree] - self._ranks[degree]
 
     def normal_form(self, poly: Gf2Polynomial) -> Gf2Polynomial:
+        self._need_rows("normal_form")
         if poly.weights != self.weights:
             raise ValueError("polynomial over a different variable set")
         if not poly:
@@ -317,6 +335,7 @@ class GradedQuotient:
 
     def times(self, v: int, degree: int, x: Gf2Polynomial) -> int:
         """Reduced vector of the class v (a vector in the given degree) times x."""
+        self._need_rows("times")
         target = product_degree(self.weights, degree, x)
         if not self._reach(target):
             return 0
@@ -366,22 +385,23 @@ class GrassmannPresentation(GradedQuotient):
     cover as a ring of the same type over w2..wk; context names which one a
     ring is.  Both vanish above the formal dimension N = k(n-k), so a class
     above N is zero without a ladder.  times is the height loop's product, as
-    SchubertRing.times is.
+    SchubertRing.times is.  ranks_only (see GradedQuotient) applies to this
+    ring only: oriented() keeps its rows.
     """
 
-    def __init__(self, n: int, k: int, caps: SizeCaps = DEFAULT_CAPS):
+    def __init__(self, n: int, k: int, caps: SizeCaps = DEFAULT_CAPS, ranks_only=False):
         N = formal_dimension(n, k, caps)
         comps = inverse_series_components(k, n)
         gens = tuple(comps[d] for d in range(n - k + 1, n + 1))
-        self._setup(n, k, N, caps, "unoriented", tuple(range(1, k + 1)), gens)
+        self._setup(n, k, N, caps, "unoriented", tuple(range(1, k + 1)), gens, ranks_only)
 
-    def _setup(self, n: int, k: int, N: int, caps: SizeCaps, context: str, weights, ideal_gens) -> None:
+    def _setup(self, n: int, k: int, N: int, caps: SizeCaps, context: str, weights, ideal_gens, ranks_only=False):
         self.n, self.k, self.N = n, k, N
         self.context = context
         self.ideal_gens = ideal_gens
         # Only the unoriented generators are a regular sequence (k of them in k variables).
         regular_name = f"(n, k) = ({n}, {k})" if context == "unoriented" else None
-        super().__init__(weights, ideal_gens, caps, top=N, regular_name=regular_name)
+        super().__init__(weights, ideal_gens, caps, top=N, regular_name=regular_name, ranks_only=ranks_only)
         self._oriented: GrassmannPresentation | None = None
 
     def betti(self) -> list[int]:
@@ -446,6 +466,7 @@ def longest_monomial_product(ctx: GrassmannPresentation) -> tuple[tuple[int, ...
     its ancestors have b >= L*, so all are reached, each reduced once, with
     the unpruned walk's exponent vectors.
     """
+    ctx._need_rows("longest_monomial_product")
     weights = ctx.weights
     ctx.extend_to(ctx.N)
     elims = ctx._elims

@@ -119,7 +119,7 @@ def test_criterion_02_two_route_equivalence():
 
 def test_criterion_03_smallest_space_cup_length(reg):
     bad = failing("smallest-space")
-    profile = PoincareProfile(9, 2, 3, "Z2")
+    profile = PoincareProfile(9, 2, 3)
     lower = lower_a3(profile, 2, 5)
     upper = upper_b1(profile, NilpotencyData((reg.oriented_ht(6, 3),)))
     finish(3, not bad and lower == 3 and upper == 3, f"({bad}, lower {lower}, upper {upper})")

@@ -29,18 +29,16 @@ from cuplength.heights import rational_p1_height, tabulated_w2_height
 
 
 def profile(N, r=2, q=3):
-    return PoincareProfile(N, r, q, "Z2")
+    return PoincareProfile(N, r, q)
 
 
 def test_profile_validation():
     with pytest.raises(ValueError):
-        PoincareProfile(9, 0, 3, "Z2")
+        PoincareProfile(9, 0, 3)
     with pytest.raises(ValueError):
-        PoincareProfile(9, 4, 3, "Z2")
+        PoincareProfile(9, 4, 3)
     with pytest.raises(ValueError):
-        PoincareProfile(9, 2, 9, "Z2")
-    with pytest.raises(ValueError):
-        PoincareProfile(9, 2, 3, "GF4")
+        PoincareProfile(9, 2, 9)
 
 
 def test_degree_count_basics():
@@ -74,7 +72,7 @@ def test_nilpotency_refinement():
 def test_refinement_strictly_beats_degree_count(N, q, total):
     if not (2 < q < N and 2 * total < N):
         return
-    p = PoincareProfile(N, 2, q, "Z2")
+    p = PoincareProfile(N, 2, q)
     bound = upper_b1(p, NilpotencyData((total,)))
     assert 2 * bound < N
     assert bound <= upper_a1(p)

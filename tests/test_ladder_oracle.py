@@ -4,11 +4,14 @@ Both build degree d of the ideal and finalize it; a subspace has exactly one
 reduced echelon form, so equal spans mean equal pivot rows, which is what the
 grid below asserts.  The regularity check and the zero-row bookkeeping of
 non-regular generator lists are pinned here too, and so is the pruned
-longest-product search against the unpruned walk.  CI also runs this file
-under python -O, where an assert-based check would vanish.
+longest-product search against the unpruned walk, and what a ranks-only
+ladder keeps and refuses.  CI also runs this file under python -O, where an
+assert-based check would vanish.
 """
 
 import random
+import tracemalloc
+import weakref
 from array import array
 
 import pytest
@@ -16,6 +19,7 @@ import pytest
 import cuplength.grassmann as grassmann
 from cuplength.gf2linalg import Eliminator
 from cuplength.gf2poly import Gf2Polynomial
+from cuplength import checks, cli
 from cuplength.grassmann import (
     GradedQuotient,
     GrassmannPresentation,
@@ -26,6 +30,7 @@ from cuplength.grassmann import (
     monomial_basis,
     w1_adjoined_quotient,
 )
+from cuplength.heights import height_direct
 
 
 def shift_bits(v: int, mapping: list[int]) -> int:
@@ -364,3 +369,96 @@ def test_pruned_search_reduces_a_fraction_of_the_states(monkeypatch):
     pruned = len(calls)
     unpruned_longest_product(ctx)
     assert 0 < 4 * pruned < len(calls) - pruned
+
+
+@pytest.mark.parametrize("n,k", RINGS + [(24, 4), (16, 5), (13, 6)])
+def test_ranks_only_betti_vector_equals_the_full_ladders(n, k):
+    assert GrassmannPresentation(n, k, ranks_only=True).betti() == GrassmannPresentation(n, k).betti()
+
+
+class TrackedEliminator(Eliminator):
+    """An Eliminator whose live instances can be listed."""
+
+    live: weakref.WeakSet = weakref.WeakSet()
+
+    def __init__(self):
+        super().__init__()
+        TrackedEliminator.live.add(self)
+
+
+@pytest.mark.parametrize("ranks_only,kept", [(True, 0), (False, 21)])
+def test_ranks_only_ladder_keeps_no_eliminator_and_only_the_signature_window(monkeypatch, ranks_only, kept):
+    monkeypatch.setattr(grassmann, "Eliminator", TrackedEliminator)
+    monkeypatch.setattr(TrackedEliminator, "live", weakref.WeakSet())
+    ring = GrassmannPresentation(12, 5, ranks_only=ranks_only)
+    ring.extend_to(20)
+    assert len(TrackedEliminator.live) == kept
+    assert len(ring._ranks) == 21
+    assert sorted(ring._sig) == [16, 17, 18, 19, 20]
+
+
+def test_ranks_only_ladder_holds_no_row_after_betti(monkeypatch):
+    monkeypatch.setattr(grassmann, "Eliminator", TrackedEliminator)
+    monkeypatch.setattr(TrackedEliminator, "live", weakref.WeakSet())
+    ring = GrassmannPresentation(12, 5, ranks_only=True)
+    ring.betti()
+    assert ring._sig == {} and ring._elims == []
+    assert not TrackedEliminator.live
+    assert ring.dim(ring.N) == 1
+
+
+def test_reads_that_need_rows_refuse_a_ranks_only_ring():
+    ring = GrassmannPresentation(9, 3, ranks_only=True)
+    w2 = Gf2Polynomial.variable(ring.weights, 2)
+    reads = {
+        "normal_form": lambda: ring.normal_form(w2),
+        "is_zero": lambda: ring.is_zero(w2),
+        "times": lambda: ring.times(1, 0, w2),
+        "longest_monomial_product": lambda: longest_monomial_product(ring),
+    }
+    # Refused on a fresh ring and on a built one alike.
+    for build in (lambda: None, ring.betti):
+        build()
+        for read in reads.values():
+            with pytest.raises(ValueError, match="ranks_only quotient does not keep"):
+                read()
+
+
+def test_oriented_ring_of_a_ranks_only_ring_keeps_its_rows():
+    ctx = GrassmannPresentation(9, 3, ranks_only=True).oriented()
+    assert not ctx.ranks_only
+    assert height_direct(ctx, Gf2Polynomial.variable(ctx.weights, 2)).height == 4
+
+
+def test_ranks_only_ladder_still_checks_regularity():
+    ctx = GrassmannPresentation(9, 3).oriented()
+    quotient = GradedQuotient(
+        ctx.weights, ctx.ideal_gens, top=ctx.N, regular_name="(n, k) = (9, 3)", ranks_only=True
+    )
+    with pytest.raises(RuntimeError, match=r"\(n, k\) = \(9, 3\): a row of degree 11 from generator index 2"):
+        quotient.extend_to(ctx.N)
+
+
+def test_ring_command_and_betti_duality_use_ranks_only_rings(monkeypatch, capsys):
+    seen = []
+    betti = GrassmannPresentation.betti
+    monkeypatch.setattr(GrassmannPresentation, "betti", lambda self: seen.append(self.ranks_only) or betti(self))
+    assert cli.main(["ring", "9", "3"]) == 0
+    assert seen == [True]
+    assert all(ok for _, ok, _ in checks.betti_duality(None))
+    assert seen == [True] * 11
+
+
+def traced_peak(build) -> int:
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ranks_only_ladder_peaks_well_below_the_full_ladder():
+    full = traced_peak(lambda: GrassmannPresentation(16, 5).betti())
+    ranks_only = traced_peak(lambda: GrassmannPresentation(16, 5, ranks_only=True).betti())
+    assert ranks_only < 0.6 * full
