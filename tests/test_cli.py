@@ -20,6 +20,10 @@ from cuplength.cli import (
     EXIT_USAGE,
     main,
 )
+from cuplength.gf2linalg import Eliminator
+from cuplength.gf2poly import Gf2Polynomial, parse_polynomial
+from cuplength.grassmann import GrassmannPresentation, longest_monomial_product
+from cuplength.heights import height_direct
 
 
 def run(capsys, *argv):
@@ -456,3 +460,34 @@ def test_output_bytes_golden(capsys, argv, code, out_sha, err_sha):
     assert got_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == out_sha
     assert hashlib.sha256(err.encode()).hexdigest() == err_sha
+
+
+# (ring, x, normal form of x, y, times(1, 0, y), w2 height, longest product) at (12, 4).
+ENGINE_READS = [
+    ("unoriented", "w1^9", "w1*w4^2 + w3^3 + w1^6*w3 + w1*w2^4 + w1^5*w2^2", "w3^2 + w2^3", 72, 15, ((14, 7, 0, 1), 22, 32)),
+    ("oriented", "w2^5*w3", "w2*w3*w4^2", "w3^2 + w2^3", 3, 8, ((8, 0, 1), 9, 20)),
+]
+
+
+def test_engine_reads_never_back_substitute(monkeypatch, capsys):
+    # Every read reduces against the rows as installed: with the reduced
+    # echelon snapshot made to raise, commands and library reads still give
+    # their golden answers (bounds 12 4 and ENGINE_READS captured before).
+    def refuse(self):
+        raise AssertionError("an engine read back-substituted")
+
+    monkeypatch.setattr(Eliminator, "finalize", refuse)
+    golden = {tuple(argv): out_sha for argv, _, out_sha, _ in GOLDEN_INVOCATIONS}
+    golden["bounds", "12", "4"] = "ec276e4e02979b7b7c4377c420716345563c46d8e7c09fc1a1ce79aac61966c7"
+    for argv in (["bounds", "12", "4"], ["sweep", "3", "6", "12", "--format", "csv"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == golden[tuple(argv)]
+    unoriented = GrassmannPresentation(12, 4)
+    rings = {"unoriented": unoriented, "oriented": unoriented.oriented()}
+    for name, x, nf, y, product, height, longest in ENGINE_READS:
+        ring = rings[name]
+        assert ring.normal_form(parse_polynomial(x, ring.weights)).render() == nf, name
+        assert ring.times(1, 0, parse_polynomial(y, ring.weights)) == product, name
+        assert height_direct(ring, Gf2Polynomial.variable(ring.weights, 2)).height == height, name
+        assert longest_monomial_product(ring) == longest, name

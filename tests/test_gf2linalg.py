@@ -21,12 +21,11 @@ def naive_rank(rows: list[int]) -> int:
     return count
 
 
-def finalized(rows: list[int]) -> Eliminator:
-    """An Eliminator holding the given rows, back-substituted."""
+def holding(rows: list[int]) -> Eliminator:
+    """An Eliminator the given rows were added to, in order."""
     elim = Eliminator()
     for r in rows:
         elim.add(r)
-    elim.finalize()
     return elim
 
 
@@ -69,17 +68,17 @@ def test_rank_against_naive_elimination_200x200():
     for trial in range(100):
         draws = rng.choice((1, 1, 2, 4))
         rows = [random_row(rng, 200, draws) for _ in range(200)]
-        assert finalized(rows).rank == naive_rank(rows), f"trial {trial}"
+        assert holding(rows).rank == naive_rank(rows), f"trial {trial}"
 
 
 def test_spec_reduced_echelon_example():
-    assert finalized([0b011, 0b110]).pivot_rows() == {0: 0b101, 1: 0b110}
+    assert holding([0b011, 0b110]).finalize() == {0: 0b101, 1: 0b110}
 
 
 @settings(max_examples=80)
 @given(st.lists(st.integers(0, 2**16 - 1), max_size=12))
 def test_reduced_echelon_shape(rows):
-    pivot_rows = finalized(rows).pivot_rows()
+    pivot_rows = holding(rows).finalize()
     for p, row in pivot_rows.items():
         assert row & -row == 1 << p, "pivot is not the lowest set bit"
         for q in pivot_rows:
@@ -90,11 +89,13 @@ def test_reduced_echelon_shape(rows):
 @settings(max_examples=80)
 @given(st.lists(st.integers(0, 2**12 - 1), max_size=10))
 def test_reduce_fixed_point(rows):
-    elim = finalized(rows)
+    elim = holding(rows)
+    pivots = sum(1 << p for p in elim.finalize())
     for r in rows:
         assert elim.reduce(r) == 0
     for v in range(0, 2**12, 173):
         reduced = elim.reduce(v)
+        assert not reduced & pivots, "normal form has a bit in a pivot column"
         assert elim.reduce(reduced) == reduced
         assert elim.reduce(v ^ reduced) == 0
 
@@ -111,24 +112,61 @@ def test_eliminator_add_reports_growth():
 def test_finalize_idempotent_membership():
     rng = random.Random(5)
     rows = [rng.getrandbits(20) for _ in range(9)]
-    elim = Eliminator()
-    for r in rows:
-        elim.add(r)
+    elim = holding(rows)
+    installed = dict(elim._piv)
     before = {v: not elim.reduce(v) for v in (rng.getrandbits(20) for _ in range(50))}
-    elim.finalize()
+    snapshot = elim.finalize()
+    assert elim.finalize() == snapshot
     for v, was in before.items():
         assert (not elim.reduce(v)) == was
-    assert len(elim.pivot_rows()) == elim.rank
+    assert len(snapshot) == elim.rank
     for r in rows:
         assert elim.reduce(r) == 0
+    assert elim._piv == installed
 
 
-def test_add_returns_installed_row_and_first_use_finalizes():
+@settings(max_examples=80)
+@given(st.lists(st.integers(0, 2**16 - 1), max_size=12))
+def test_finalize_snapshot_spans_the_rows_and_leaves_them_installed(rows):
+    elim = holding(rows)
+    installed = dict(elim._piv)
+    snapshot = elim.finalize()
+    assert len(snapshot) == elim.rank == naive_rank(rows)
+    assert naive_rank(rows + list(snapshot.values())) == elim.rank
+    assert elim._piv == installed
+
+
+def test_add_returns_installed_row_and_reads_leave_it_installed():
     elim = Eliminator()
     assert elim.add(0b011) == 0b011
     # Reduced only until its lowest bit is a new pivot: 0b101 ^ 0b011.
     assert elim.add(0b101) == 0b110
     assert elim.add(0b110) == 0
-    # The first reduce back-substitutes: row 0 loses its bit in pivot column 1.
+    # Row 0 keeps its bit in pivot column 1; the normal form is the same either way.
     assert elim.reduce(0b010) == 0b100
-    assert elim.pivot_rows() == {0: 0b101, 1: 0b110}
+    assert elim._piv == {0: 0b011, 1: 0b110}
+    assert elim.finalize() == {0: 0b101, 1: 0b110}
+    assert elim._piv == {0: 0b011, 1: 0b110}
+
+
+def test_reads_between_adds_leave_no_hidden_state():
+    read, unread = Eliminator(), Eliminator()
+    for elim in (read, unread):
+        elim.add(0b101)
+        elim.add(0b100)
+    assert read.reduce(0b011) == 0b010
+    read.finalize()
+    # 0b011 ^ 0b101 against the rows as installed; a read that back-substituted
+    # row 0 to 0b001 would make this add install 0b010.
+    assert read.add(0b011) == unread.add(0b011) == 0b110
+    assert read._piv == unread._piv == {0: 0b101, 1: 0b110, 2: 0b100}
+    rng = random.Random(611)
+    for trial in range(200):
+        read, unread = Eliminator(), Eliminator()
+        for _ in range(rng.randint(1, 14)):
+            v = rng.getrandbits(16)
+            if rng.random() < 0.5:
+                read.reduce(rng.getrandbits(16))
+                read.finalize()
+            assert read.add(v) == unread.add(v), f"trial {trial}"
+        assert read._piv == unread._piv, f"trial {trial}"

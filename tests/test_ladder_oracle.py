@@ -1,8 +1,9 @@
 """The signature (F5) ladder against the shift-everything ladder it replaced.
 
-Both build degree d of the ideal and finalize it; a subspace has exactly one
-reduced echelon form, so equal spans mean equal pivot rows, which is what the
-grid below asserts.  The regularity check and the zero-row bookkeeping of
+Both build degree d of the ideal; a subspace has exactly one reduced echelon
+form, so equal spans mean equal reduced echelon forms.  The grid below asserts
+that, with both forms computed by this file's own Gauss-Jordan elimination,
+not by Eliminator.  The regularity check and the zero-row bookkeeping of
 non-regular generator lists are pinned here too, and so is the pruned
 longest-product search against the unpruned walk, and what a ranks-only
 ladder keeps and refuses.  CI also runs this file under python -O, where an
@@ -42,10 +43,31 @@ def shift_bits(v: int, mapping: list[int]) -> int:
     return out
 
 
+def reduced_echelon_form(rows) -> dict[int, int]:
+    """Gauss-Jordan over GF(2), written apart from Eliminator: forward
+    elimination to rows with distinct lowest bits, then back-substitution from
+    the highest pivot down.  Returns pivot -> row, each pivot the lowest bit of
+    its row and absent from every other row."""
+    rref: dict[int, int] = {}
+    for v in rows:
+        while v and (p := (v & -v).bit_length() - 1) in rref:
+            v ^= rref[p]
+        if v:
+            rref[p] = v
+    mask = sum(1 << p for p in rref)
+    for p in sorted(rref, reverse=True):
+        # Every row above p is already reduced, so one xor clears each of its pivot bits.
+        hits = rref[p] & mask ^ 1 << p
+        while hits:
+            rref[p] ^= rref[(hits & -hits).bit_length() - 1]
+            hits &= hits - 1
+    return rref
+
+
 def shift_everything_ladder(weights, generators, top: int) -> list[dict[int, int]]:
     """The ladder as first written: degree d of the ideal is spanned by every
-    finalized pivot row of degree d - w_i times x_i, for every i, plus the
-    generators of degree d.  Returns the finalized pivot rows of each degree."""
+    reduced echelon row of degree d - w_i times x_i, for every i, plus the
+    generators of degree d.  Returns the reduced echelon form of each degree."""
     bases, pivots = [], []
     for d in range(top + 1):
         basis = monomial_basis(weights, d)
@@ -64,7 +86,7 @@ def shift_everything_ladder(weights, generators, top: int) -> list[dict[int, int
                 for t in g.terms:
                     v |= 1 << index[t.exps]
                 elim.add(v)
-        pivots.append(elim.pivot_rows())
+        pivots.append(reduced_echelon_form(elim._piv.values()))
     return pivots
 
 
@@ -94,7 +116,7 @@ def test_signature_ladder_matches_shift_everything_ladder(n, k):
             assert quotient.dim(d) == widths[d] - len(oracle[d]), (name, d)
         top = N if quotient.top is None else min(quotient.top, N)
         for d in range(top + 1):
-            assert quotient._elims[d].pivot_rows() == oracle[d], (name, d)
+            assert reduced_echelon_form(quotient._elims[d]._piv.values()) == oracle[d], (name, d)
         # The oracle builds every degree: each one the ladder skipped is zero there too.
         for d in range(top + 1, N + 1):
             assert len(oracle[d]) == widths[d], (name, d)
