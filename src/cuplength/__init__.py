@@ -2,9 +2,7 @@
 
 from .bounds import (
     BoundReport,
-    NilpotencyData,
     OrientedSummary,
-    PoincareProfile,
     check_a2,
     full_report,
     grossman_upper,

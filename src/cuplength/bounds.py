@@ -1,11 +1,11 @@
 """Cup-length bounds from exact degree bookkeeping, plus every closed-form table.
 
 Lower bounds come from verified nonzero products (the duality argument: a
-nonzero product of positive-degree classes below the formal dimension extends
-by one more factor).  Upper bounds come from degree counting with the first
-two nonzero reduced degrees r < q and from nilpotency exponents of a basis in
-degree r.  Reports keep the closed-form table values and the engine-sharpened
-values side by side.
+nonzero product of positive-degree classes below the formal dimension N
+extends by one more factor).  Upper bounds come from degree counting in the
+first nonzero reduced degree r (r = 2 over Z2, r = 4 over Q) and, over Z2,
+from the height of w2 with the next nonzero degree q = 3.  Reports keep the
+closed-form table values and the engine-sharpened values side by side.
 """
 
 from __future__ import annotations
@@ -22,34 +22,6 @@ from .grassmann import (
     longest_monomial_product,
 )
 from .heights import decompose_n, height_direct, rational_p1_height
-
-
-@dataclass(frozen=True)
-class PoincareProfile:
-    """Formal dimension with the first two nonzero reduced cohomology degrees."""
-
-    formal_dim: int
-    r: int
-    q: int
-
-    def __post_init__(self):
-        if not (0 < self.r <= self.q < self.formal_dim):
-            raise ValueError(f"need 0 < r <= q < formal_dim, got {self}")
-
-
-@dataclass(frozen=True)
-class NilpotencyData:
-    """Exponents k_i with a basis of degree-r classes satisfying a_i^{k_i+1} = 0."""
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.exponents or any(e < 1 for e in self.exponents):
-            raise ValueError("need at least one positive nilpotency exponent")
-
-    @property
-    def total(self) -> int:
-        return sum(self.exponents)
 
 
 @dataclass(frozen=True)
@@ -87,39 +59,37 @@ class BoundReport:
             )
 
 
-def upper_a1(p: PoincareProfile) -> int:
-    """Degree counting: the cup-length never exceeds formal_dim / r."""
-    return p.formal_dim // p.r
+def upper_a1(N: int, r: int) -> int:
+    """Degree counting: the cup-length never exceeds N / r."""
+    return N // r
 
 
-def check_a2(p: PoincareProfile, h: int) -> int | None:
-    """Exact value formal_dim / r when a degree-r class has r * height = formal_dim."""
+def check_a2(N: int, r: int, h: int) -> int | None:
+    """Exact value N / r when a degree-r class has r * height = N."""
     if h < 1:
         raise ValueError("height must be positive")
-    if p.r * h == p.formal_dim:
-        return p.formal_dim // p.r
+    if r * h == N:
+        return N // r
     return None
 
 
-def lower_a3(p: PoincareProfile, product_length: int, product_degree: int) -> int:
+def lower_a3(N: int, product_length: int, product_degree: int) -> int:
     """A nonzero product of L positive-degree classes gives cup >= L, plus one
-    more factor by duality while its degree is below the formal dimension."""
+    more factor by duality while its degree is below the formal dimension N."""
     if product_length < 1:
         raise ValueError("need a nonempty product")
-    if product_degree > p.formal_dim:
+    if product_degree > N:
         raise ValueError("product degree exceeds the formal dimension")
-    return product_length + 1 if product_degree < p.formal_dim else product_length
+    return product_length + 1 if product_degree < N else product_length
 
 
-def upper_b1(p: PoincareProfile, nd: NilpotencyData) -> int:
-    """Nilpotency refinement of the degree count; strictly below formal_dim / r."""
-    if p.r == p.q:
-        raise ValueError("refinement needs r < q")
-    total = nd.total
-    if p.r * total >= p.formal_dim:
-        raise ValueError("nilpotency hypothesis r * sum(exponents) < formal_dim fails")
-    result = total + (p.formal_dim - p.r * total) // p.q
-    if result * p.r >= p.formal_dim:
+def upper_b1(N: int, h: int) -> int:
+    """Nilpotency refinement of the degree count for r = 2, q = 3: a degree-2
+    class of height h with 2h < N gives cup <= h + (N - 2h) // 3 < N / 2."""
+    if not 0 < 2 * h < N:
+        raise ValueError(f"nilpotency hypothesis 0 < 2 * {h} < {N} fails")
+    result = h + (N - 2 * h) // 3
+    if 2 * result >= N:
         raise RuntimeError("strict improvement postcondition violated")
     return result
 
@@ -178,7 +148,7 @@ def prop_d_upper(n: int, k: int) -> int:
     the tabulated height reaches or passes half the formal dimension.
     """
     check_domain(n, k)
-    return min(prop_d_upper_table_value(n, k), k * (n - k) // 2)
+    return min(prop_d_upper_table_value(n, k), upper_a1(k * (n - k), 2))
 
 
 def grossman_upper(dim: int, r: int) -> int:
@@ -230,15 +200,16 @@ def full_report(
     if field_tag == "Q":
         h = rational_p1_height(n, k)
         certs.append(("degree-4-height", f"closed form {h}"))
-        paper_low = best_low = Bound(1 + h if 4 * h < N else h, "B(e)")
-        paper_up = best_up = Bound(N // 4, "D(c)")
-        if 4 * h == N:
-            certs.append(("(a2)", f"4 * {h} = {N} forces the exact value {N // 4}"))
-            best_low = Bound(h, "(a2)")
+        paper_low = best_low = Bound(lower_a3(N, h, 4 * h), "B(e)")
+        paper_up = best_up = Bound(upper_a1(N, 4), "D(c)")
+        a2_hit = check_a2(N, 4, h)
+        if a2_hit is not None:
+            certs.append(("(a2)", f"4 * {h} = {N} forces the exact value {a2_hit}"))
+            best_low = Bound(a2_hit, "(a2)")
     else:
         if (n, k) == (6, 3):
             paper_up_method = "D(a)"
-        elif prop_d_upper_table_value(n, k) > N // 2:
+        elif prop_d_upper_table_value(n, k) > upper_a1(N, 2):
             paper_up_method = "(a1)"
         else:
             paper_up_method = "D(b)"
@@ -255,7 +226,6 @@ def full_report(
                 f"characteristic subalgebra has dimensions {b2}, {b3} in degrees 2, 3,"
                 " breaking the r = 2, q = 3 profile"
             )
-        profile = PoincareProfile(N, 2, 3)
         ht_or = summary.ht_w2
         reduced_weights = tuple(range(2, k + 1))
 
@@ -265,38 +235,38 @@ def full_report(
         cert_survives = (
             cert_exps[0] <= ht_or
             if cert_is_w2_power
-            else lower_a3(profile, summary.longest[1], summary.longest[2])
-            >= lower_a3(profile, cert_len, cert_deg)
+            else lower_a3(N, summary.longest[1], summary.longest[2])
+            >= lower_a3(N, cert_len, cert_deg)
         )
         if not cert_survives:
             raise RuntimeError(
                 f"table certificate {cert_render} vanishes for ({n}, {k}): computation bug"
             )
         certs.append(("table-certificate", f"{cert_render} nonzero, length {cert_len}, degree {cert_deg}"))
-        table_low = lower_a3(profile, cert_len, cert_deg)
+        table_low = lower_a3(N, cert_len, cert_deg)
         if table_low != paper_low.value:
             raise RuntimeError(
                 f"certificate bound {table_low} disagrees with closed form {paper_low.value}"
             )
 
         certs.append(("oriented-height", f"ht = {ht_or}: w2^{ht_or} nonzero, w2^{ht_or + 1} zero"))
-        if lower_a3(profile, ht_or, 2 * ht_or) > best_low.value:
-            best_low = Bound(lower_a3(profile, ht_or, 2 * ht_or), "(a3) w2-power")
+        if lower_a3(N, ht_or, 2 * ht_or) > best_low.value:
+            best_low = Bound(lower_a3(N, ht_or, 2 * ht_or), "(a3) w2-power")
 
         exps, length, degree = summary.longest
         witness = Gf2Polynomial(reduced_weights, [exps]).render()
         certs.append(("longest-product", f"{witness} nonzero, length {length}, degree {degree}"))
-        if lower_a3(profile, length, degree) > best_low.value:
-            best_low = Bound(lower_a3(profile, length, degree), "(a3) product")
+        if lower_a3(N, length, degree) > best_low.value:
+            best_low = Bound(lower_a3(N, length, degree), "(a3) product")
 
         # The table's upper bound is already at most the (a1) count N // 2.
-        a2_hit = check_a2(profile, ht_or)
+        a2_hit = check_a2(N, 2, ht_or)
         if a2_hit is not None:
             certs.append(("(a2)", f"2 * {ht_or} = {N} forces the exact value {a2_hit}"))
             best_low = best_up = Bound(a2_hit, "(a2)")
         elif 2 * ht_or < N:
-            sharp = upper_b1(profile, NilpotencyData((ht_or,)))
-            certs.append(("(b1) computed", f"exponent {ht_or}, q = {profile.q}: upper bound {sharp}"))
+            sharp = upper_b1(N, ht_or)
+            certs.append(("(b1) computed", f"exponent {ht_or}, q = 3: upper bound {sharp}"))
             if sharp < best_up.value:
                 best_up = Bound(sharp, "(b1) computed height")
 

@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 
 from .bounds import (
-    NilpotencyData,
-    PoincareProfile,
     full_report,
     lower_a3,
     prop_b_certificate,
@@ -134,7 +132,7 @@ def smallest_space(max_n: int | None) -> list[Line]:
         ),
         (
             "nilpotency refinement with exponent 1",
-            upper_b1(PoincareProfile(9, 2, 3), NilpotencyData((1,))) == 3,
+            upper_b1(9, 1) == 3,
             "1 + (9 - 2) // 3 = 3",
         ),
     ]
@@ -150,7 +148,7 @@ def prop_b(max_n: int | None) -> list[Line]:
         if ctx.is_zero(cert):
             results.append((f"({n},{k})", False, f"certificate {cert.render()} vanishes"))
             continue
-        derived = lower_a3(PoincareProfile(k * (n - k), 2, 3), length, degree)
+        derived = lower_a3(k * (n - k), length, degree)
         if derived != prop_b_lower(n, k):
             results.append((f"({n},{k})", False, f"derived {derived} != closed form {prop_b_lower(n, k)}"))
     results.append((f"{len(grid)} pairs", not results, "verified certificates match the closed forms"))
@@ -163,8 +161,7 @@ def prop_d(max_n: int | None) -> list[Line]:
     for n, k in pairs:
         N = k * (n - k)
         ht = tabulated_w2_height(n, k)
-        profile = PoincareProfile(N, 2, 3)
-        dichotomy = upper_b1(profile, NilpotencyData((ht,))) if 2 * ht < N else upper_a1(profile)
+        dichotomy = upper_b1(N, ht) if 2 * ht < N else upper_a1(N, 2)
         if prop_d_upper(n, k) != dichotomy:
             results.append((f"({n},{k})", False, f"table {prop_d_upper(n, k)} != dichotomy {dichotomy}"))
     results.append((f"{len(pairs)} pairs", not results, "table equals the height dichotomy"))

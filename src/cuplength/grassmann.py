@@ -609,6 +609,9 @@ def load_record(cache_dir: str, n: int, k: int) -> OrientedSummary | None:
         raise ValueError(f"{where}: the longest product lies in degree {degree}, which has no classes")
     if not (0 <= 2 * ht <= N and betti[2 * ht]):
         raise ValueError(f"{where}: w2^{ht} lies in degree {2 * ht}, which has no classes")
+    # A nonzero w2^a * m forces w2^a != 0, and w2^ht is itself a nonzero product of length ht.
+    if not exps[0] <= ht <= length:
+        raise ValueError(f"{where}: ht_w2 = {ht} is outside [{exps[0]}, {length}] set by the longest product")
     return OrientedSummary(n, k, ht, (tuple(exps), length, degree), tuple(betti))
 
 

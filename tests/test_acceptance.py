@@ -14,14 +14,10 @@ import time
 import pytest
 
 from cuplength import checks
-from cuplength.bounds import NilpotencyData, PoincareProfile, full_report, lower_a3, upper_b1
+from cuplength.bounds import full_report, lower_a3, upper_b1
 from cuplength.gf2linalg import Eliminator
 from cuplength.gf2poly import Gf2Polynomial
-from cuplength.grassmann import (
-    GrassmannPresentation,
-    k3_reduced_membership,
-    w1_adjoined_quotient,
-)
+from cuplength.grassmann import GrassmannPresentation
 from cuplength.heights import closed_form_w2_height, height_direct
 
 from conftest import record_criterion
@@ -103,25 +99,15 @@ def test_criterion_01_generator_identities():
 
 def test_criterion_02_two_route_equivalence():
     start = time.monotonic()
-    bad = failing("g-generators")
-    ok = True
-    for n in range(6, 21):
-        N = 3 * (n - 3)
-        adjoined = w1_adjoined_quotient(n, 3)
-        for a in range(N // 2 + 1):
-            for b in range((N - 2 * a) // 3 + 1):
-                x = Gf2Polynomial((2, 3), [(a, b)])
-                full = Gf2Polynomial((1, 2, 3), [(0, a, b)])
-                ok = ok and k3_reduced_membership(n, x) == adjoined.is_zero(full)
+    bad = failing("g-generators") + failing("membership-routes")
     elapsed = time.monotonic() - start
-    finish(2, not bad and ok and elapsed < 60.0, f"({bad}, elapsed {elapsed:.1f}s)")
+    finish(2, not bad and elapsed < 60.0, f"({bad}, elapsed {elapsed:.1f}s)")
 
 
 def test_criterion_03_smallest_space_cup_length(reg):
     bad = failing("smallest-space")
-    profile = PoincareProfile(9, 2, 3)
-    lower = lower_a3(profile, 2, 5)
-    upper = upper_b1(profile, NilpotencyData((reg.oriented_ht(6, 3),)))
+    lower = lower_a3(9, 2, 5)
+    upper = upper_b1(9, reg.oriented_ht(6, 3))
     finish(3, not bad and lower == 3 and upper == 3, f"({bad}, lower {lower}, upper {upper})")
 
 

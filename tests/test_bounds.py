@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from cuplength.bounds import (
     BoundReport,
-    NilpotencyData,
-    PoincareProfile,
     check_a2,
     full_report,
     grossman_upper,
@@ -25,57 +23,50 @@ from cuplength.bounds import (
     upper_b1,
 )
 from cuplength.grassmann import GrassmannPresentation, load_record, save_record
-from cuplength.heights import rational_p1_height, tabulated_w2_height
-
-
-def profile(N, r=2, q=3):
-    return PoincareProfile(N, r, q)
-
-
-def test_profile_validation():
-    with pytest.raises(ValueError):
-        PoincareProfile(9, 0, 3)
-    with pytest.raises(ValueError):
-        PoincareProfile(9, 4, 3)
-    with pytest.raises(ValueError):
-        PoincareProfile(9, 2, 9)
+from cuplength.heights import rational_p1_height
 
 
 def test_degree_count_basics():
-    assert upper_a1(profile(18)) == 9
-    assert check_a2(profile(18), 9) == 9
-    assert check_a2(profile(18), 8) is None
-    assert lower_a3(profile(18), 4, 8) == 5
-    assert lower_a3(profile(18), 9, 18) == 9
+    assert upper_a1(18, 2) == 9
+    assert check_a2(18, 2, 9) == 9
+    assert check_a2(18, 2, 8) is None
     with pytest.raises(ValueError):
-        lower_a3(profile(18), 4, 19)
+        check_a2(18, 2, 0)
+    assert lower_a3(18, 4, 8) == 5
+    assert lower_a3(18, 9, 18) == 9
     with pytest.raises(ValueError):
-        lower_a3(profile(18), 0, 0)
+        lower_a3(18, 4, 19)
+    with pytest.raises(ValueError):
+        lower_a3(18, 0, 0)
+
+
+def test_degree_count_in_degree_4():
+    # The rational report counts in degree 4: (8, 4) is exact by (a2), (12, 5) and (13, 4) are not.
+    assert upper_a1(16, 4) == 4
+    assert check_a2(16, 4, 4) == 4
+    assert upper_a1(35, 4) == 8
+    assert check_a2(35, 4, 6) is None
+    assert check_a2(36, 4, 8) is None
 
 
 def test_nilpotency_refinement():
-    assert upper_b1(profile(9), NilpotencyData((1,))) == 3
-    assert upper_b1(profile(18), NilpotencyData((4,))) == 7
-    assert upper_b1(profile(21), NilpotencyData((4,))) == 8
+    assert upper_b1(9, 1) == 3
+    assert upper_b1(18, 4) == 7
+    assert upper_b1(21, 4) == 8
     with pytest.raises(ValueError):
-        upper_b1(profile(18, q=2), NilpotencyData((4,)))
+        upper_b1(18, 9)
     with pytest.raises(ValueError):
-        upper_b1(profile(18), NilpotencyData((9,)))
-    with pytest.raises(ValueError):
-        NilpotencyData(())
-    with pytest.raises(ValueError):
-        NilpotencyData((0,))
+        upper_b1(18, 0)
 
 
 @settings(max_examples=120)
-@given(st.integers(4, 200), st.integers(3, 9), st.integers(1, 60))
-def test_refinement_strictly_beats_degree_count(N, q, total):
-    if not (2 < q < N and 2 * total < N):
+@given(st.integers(4, 200), st.integers(1, 60))
+def test_refinement_strictly_beats_degree_count(N, h):
+    if not 2 * h < N:
         return
-    p = PoincareProfile(N, 2, q)
-    bound = upper_b1(p, NilpotencyData((total,)))
+    bound = upper_b1(N, h)
     assert 2 * bound < N
-    assert bound <= upper_a1(p)
+    assert bound <= upper_a1(N, 2)
 
 
 def test_prop_b_lower_closed_forms():
@@ -100,8 +91,7 @@ def test_prop_b_certificate_consistency():
             exps, length, degree = prop_b_certificate(n, k)
             assert degree == sum(e * w for e, w in zip(exps, range(2, k + 1)))
             assert length == sum(exps)
-            p = profile(k * (n - k))
-            assert lower_a3(p, length, degree) == prop_b_lower(n, k), (n, k)
+            assert lower_a3(k * (n - k), length, degree) == prop_b_lower(n, k), (n, k)
 
 
 def test_prop_d_upper_spots():
@@ -111,20 +101,6 @@ def test_prop_d_upper_spots():
     assert prop_d_upper(12, 5) == 16
     assert prop_d_upper(10, 5) == 12
     assert prop_d_upper_table_value(10, 5) == 13
-
-
-def test_prop_d_dichotomy_identity():
-    for k in range(3, 9):
-        for n in range(2 * k, 65):
-            if (n, k) == (6, 3):
-                continue
-            N = k * (n - k)
-            ht = tabulated_w2_height(n, k)
-            p = profile(N)
-            expect = (
-                upper_b1(p, NilpotencyData((ht,))) if 2 * ht < N else upper_a1(p)
-            )
-            assert prop_d_upper(n, k) == expect, (n, k)
 
 
 def test_rational_walkthroughs():

@@ -240,9 +240,10 @@ def test_bounds_cache_poisoning_rejected(tmp_path, capsys):
     assert "cache" in err
 
 
-def _poison_record(capsys, cache, **changes):
-    assert run(capsys, "bounds", "9", "3", "--cache-dir", cache)[0] == EXIT_OK
-    path = os.path.join(cache, "gr_9_3_oriented.json")
+def _poison_record(capsys, cache, ring=(9, 3), **changes):
+    n, k = ring
+    assert run(capsys, "bounds", str(n), str(k), "--cache-dir", cache)[0] == EXIT_OK
+    path = os.path.join(cache, f"gr_{n}_{k}_oriented.json")
     with open(path) as fh:
         record = json.load(fh)
     record.update(changes)
@@ -278,6 +279,8 @@ def test_bounds_cache_malformed_field_rejected(tmp_path, capsys, field, value, m
         # No relation lies below degree 7, so b_3 counts the one monomial w3 (and pins q = 3).
         ({"betti": [1, 0, 1, 0, 1, 1, 2, 0, 1] + [0] * 10}, "b_3 is 0, not the monomial count 1 below degree 7"),
         ({"betti": [1, 0, 1, 1, 1, 1, 2, -1, 1] + [0] * 10}, "a Betti number is negative"),
+        # The longest product w2^4 is nonzero, so w2 has height at least 4.
+        ({"ht_w2": 3}, "ht_w2 = 3 is outside [4, 4]"),
     ],
 )
 def test_bounds_cache_inconsistent_record_rejected(tmp_path, capsys, changes, message):
@@ -287,6 +290,18 @@ def test_bounds_cache_inconsistent_record_rejected(tmp_path, capsys, changes, me
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: cache record for (9, 3)") and message in err
+    assert len(err.splitlines()) == 1
+
+
+def test_bounds_cache_height_outside_the_longest_product_rejected(tmp_path, capsys):
+    # The longest product of (16, 4) is w2^12*w4^3, so w2 has height 12 to 15.  A
+    # record claiming height 9 used to print a (b1) upper bound of 19 below the true 20.
+    cache = str(tmp_path)
+    _poison_record(capsys, cache, ring=(16, 4), ht_w2=9)
+    code, out, err = run(capsys, "bounds", "16", "4", "--cache-dir", cache)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: cache record for (16, 4): ")
     assert len(err.splitlines()) == 1
 
 
@@ -301,9 +316,9 @@ def test_bounds_cache_out_of_domain_refused_before_reading(tmp_path, capsys):
 
 
 def test_bounds_failed_certificate_is_check_failure(tmp_path, capsys):
-    # A record whose height is too small to carry the table certificate w2^4.
+    # A consistent record whose height is too small to carry the table certificate w2^4.
     cache = str(tmp_path)
-    _poison_record(capsys, cache, ht_w2=1)
+    _poison_record(capsys, cache, ht_w2=1, longest_product=[[1, 2], 3, 8])
     code, out, err = run(capsys, "bounds", "9", "3", "--cache-dir", cache)
     assert code == EXIT_CHECK
     assert out == ""
