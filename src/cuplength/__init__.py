@@ -7,9 +7,8 @@ from .bounds import (
     full_report,
     grossman_upper,
     lower_a3,
-    prop_b_certificate,
-    prop_b_lower,
-    prop_d_upper,
+    prop_b_bound,
+    prop_d_bound,
     summarize_oriented,
     upper_a1,
     upper_b1,

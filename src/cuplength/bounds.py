@@ -94,61 +94,39 @@ def upper_b1(N: int, h: int) -> int:
     return result
 
 
-def prop_b_lower(n: int, k: int) -> int:
-    """Closed-form lower bound for the cup-length over GF(2)."""
-    check_domain(n, k)
-    m = n - k + 3
-    if m == 6:
-        return 3
-    if m in (9, 10, 11, 12):
-        return 5
-    if m % 2 == 1:
-        return (m + 3) // 2
-    return (m + 2) // 2
+def prop_b_bound(n: int, k: int) -> tuple[Bound, tuple[tuple[int, ...], int, int]]:
+    """Closed-form lower bound for the cup-length over GF(2), with the nonzero product behind it.
 
-
-def prop_b_lower_method(n: int, k: int) -> str:
-    m = n - k + 3
-    if k == 3:
-        if m == 6:
-            return "B(a)"
-        return "B(c)" if m in (9, 10, 11, 12) else "B(b)"
-    return "B(d)"
-
-
-def prop_b_certificate(n: int, k: int) -> tuple[tuple[int, ...], int, int]:
-    """The nonzero product behind the closed-form lower bound.
-
-    Returns (exponents over w2..wk, length, degree).  For the reduction
-    m = n-k+3 the certificate is the w2-power of exponent (m+1)/2 for odd m,
-    m/2 for even m, 4 on the exceptional set {9,10,11,12}, and the product
-    w2*w3 for the smallest space.
+    The certificate is (exponents over w2..wk, length, degree).  With m = n-k+3
+    it is the product w2*w3 for the smallest space (B(a)), and otherwise the
+    w2-power of exponent 4 on the exceptional set {9,10,11,12}, (m+1)/2 for odd m
+    and m/2 for even m: tables B(b) and B(c) for k = 3, B(d) for k >= 4.
     """
     check_domain(n, k)
-    width = k - 1
     m = n - k + 3
     if m == 6:
-        exps = (1, 1) + (0,) * (width - 2)
-        return exps, 2, 5
-    if m in (9, 10, 11, 12):
-        c = 4
-    elif m % 2 == 1:
-        c = (m + 1) // 2
-    else:
-        c = m // 2
-    exps = (c,) + (0,) * (width - 1)
-    return exps, c, 2 * c
+        return Bound(3, "B(a)"), ((1, 1), 2, 5)
+    exceptional = m in (9, 10, 11, 12)
+    c = 4 if exceptional else (m + 1) // 2
+    value = 5 if exceptional else (m + 3) // 2
+    method = "B(d)" if k > 3 else "B(c)" if exceptional else "B(b)"
+    return Bound(value, method), ((c,) + (0,) * (k - 2), c, 2 * c)
 
 
-def prop_d_upper(n: int, k: int) -> int:
+def prop_d_bound(n: int, k: int) -> Bound:
     """Closed-form upper bound for the cup-length over GF(2).
 
-    The tables are built from the tabulated w2 heights with q = 3; the result
-    is intersected with the plain degree count, which is sharper exactly when
-    the tabulated height reaches or passes half the formal dimension.
+    The tables D(a) (the smallest space) and D(b) are built from the tabulated
+    w2 heights with q = 3.  The plain degree count (a1) replaces the table
+    value when it is smaller, exactly when the tabulated height reaches or
+    passes half the formal dimension.
     """
     check_domain(n, k)
-    return min(prop_d_upper_table_value(n, k), upper_a1(k * (n - k), 2))
+    table = prop_d_upper_table_value(n, k)
+    a1 = upper_a1(k * (n - k), 2)
+    if a1 < table:
+        return Bound(a1, "(a1)")
+    return Bound(table, "D(a)" if (n, k) == (6, 3) else "D(b)")
 
 
 def grossman_upper(dim: int, r: int) -> int:
@@ -207,14 +185,9 @@ def full_report(
             certs.append(("(a2)", f"4 * {h} = {N} forces the exact value {a2_hit}"))
             best_low = Bound(a2_hit, "(a2)")
     else:
-        if (n, k) == (6, 3):
-            paper_up_method = "D(a)"
-        elif prop_d_upper_table_value(n, k) > upper_a1(N, 2):
-            paper_up_method = "(a1)"
-        else:
-            paper_up_method = "D(b)"
-        paper_low = best_low = Bound(prop_b_lower(n, k), prop_b_lower_method(n, k))
-        paper_up = best_up = Bound(prop_d_upper(n, k), paper_up_method)
+        paper_low, (cert_exps, cert_len, cert_deg) = prop_b_bound(n, k)
+        paper_up = prop_d_bound(n, k)
+        best_low, best_up = paper_low, paper_up
 
         if summary is None:
             summary = summarize_oriented(GrassmannPresentation(n, k, caps))
@@ -229,7 +202,6 @@ def full_report(
         ht_or = summary.ht_w2
         reduced_weights = tuple(range(2, k + 1))
 
-        cert_exps, cert_len, cert_deg = prop_b_certificate(n, k)
         cert_render = Gf2Polynomial(reduced_weights, [cert_exps]).render()
         cert_is_w2_power = all(e == 0 for e in cert_exps[1:])
         cert_survives = (

@@ -11,9 +11,8 @@ import math
 from .bounds import (
     full_report,
     lower_a3,
-    prop_b_certificate,
-    prop_b_lower,
-    prop_d_upper,
+    prop_b_bound,
+    prop_d_bound,
     upper_a1,
     upper_b1,
 )
@@ -143,14 +142,14 @@ def prop_b(max_n: int | None) -> list[Line]:
     grid = _grid(max_n, 33)
     for n, k in grid:
         ctx = GrassmannPresentation(n, k).oriented()
-        exps, length, degree = prop_b_certificate(n, k)
+        bound, (exps, length, degree) = prop_b_bound(n, k)
         cert = Gf2Polynomial(ctx.weights, [exps])
         if ctx.is_zero(cert):
             results.append((f"({n},{k})", False, f"certificate {cert.render()} vanishes"))
             continue
         derived = lower_a3(k * (n - k), length, degree)
-        if derived != prop_b_lower(n, k):
-            results.append((f"({n},{k})", False, f"derived {derived} != closed form {prop_b_lower(n, k)}"))
+        if derived != bound.value:
+            results.append((f"({n},{k})", False, f"derived {derived} != closed form {bound.value}"))
     results.append((f"{len(grid)} pairs", not results, "verified certificates match the closed forms"))
     return results
 
@@ -162,13 +161,13 @@ def prop_d(max_n: int | None) -> list[Line]:
         N = k * (n - k)
         ht = tabulated_w2_height(n, k)
         dichotomy = upper_b1(N, ht) if 2 * ht < N else upper_a1(N, 2)
-        if prop_d_upper(n, k) != dichotomy:
-            results.append((f"({n},{k})", False, f"table {prop_d_upper(n, k)} != dichotomy {dichotomy}"))
+        table = prop_d_bound(n, k).value
+        if table != dichotomy:
+            results.append((f"({n},{k})", False, f"table {table} != dichotomy {dichotomy}"))
     results.append((f"{len(pairs)} pairs", not results, "table equals the height dichotomy"))
     for (n, k), want in (((9, 3), 8), ((10, 4), 12), ((12, 5), 16)):
-        results.append(
-            (f"spot ({n},{k})", prop_d_upper(n, k) == want, f"expected {want}, got {prop_d_upper(n, k)}")
-        )
+        table = prop_d_bound(n, k).value
+        results.append((f"spot ({n},{k})", table == want, f"expected {want}, got {table}"))
     return results
 
 

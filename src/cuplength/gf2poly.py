@@ -48,16 +48,6 @@ class Monomial:
         """Canonical graded order: by degree, then by reversed exponent vector."""
         return (self.degree, tuple(reversed(self.exps)))
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if self.weights != other.weights:
-            raise ValueError("cannot multiply monomials over different variable sets")
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)), self.weights)
-
-    def power(self, e: int) -> "Monomial":
-        if e < 0:
-            raise ValueError("negative power")
-        return Monomial(tuple(a * e for a in self.exps), self.weights)
-
     def render(self) -> str:
         parts = []
         for e, w in zip(self.exps, self.weights):
@@ -140,7 +130,7 @@ class Gf2Polynomial:
 
     def square(self) -> "Gf2Polynomial":
         """Frobenius square: over GF(2) squaring doubles each exponent vector."""
-        return Gf2Polynomial(self.weights, [t.power(2) for t in self.terms])
+        return Gf2Polynomial(self.weights, [tuple(2 * e for e in t.exps) for t in self.terms])
 
     def __pow__(self, e: int) -> "Gf2Polynomial":
         if e < 0:
@@ -175,8 +165,7 @@ class Gf2Polynomial:
     def render(self) -> str:
         if not self.terms:
             return "0"
-        ordered = sorted(self.terms, key=Monomial.sort_key, reverse=True)
-        return " + ".join(t.render() for t in ordered)
+        return " + ".join(t.render() for t in reversed(self.terms))
 
     def __repr__(self) -> str:
         return f"Gf2Polynomial({self.render()!r})"

@@ -316,22 +316,26 @@ class GradedQuotient:
             return 0
         return self._counts[-1][degree] - self._ranks[degree]
 
-    def normal_form(self, poly: Gf2Polynomial) -> Gf2Polynomial:
+    def _reduced(self, poly: Gf2Polynomial) -> tuple[int, int]:
+        """The reduced vector of a homogeneous polynomial and its degree; (0, 0) for a zero class."""
         self._need_rows("normal_form")
         if poly.weights != self.weights:
             raise ValueError("polynomial over a different variable set")
         if not poly:
-            return poly
+            return 0, 0
         d = poly.homogeneous_degree()
         if d is None:
             raise ValueError("normal form requires a homogeneous polynomial")
         if not self._reach(d):
-            return Gf2Polynomial.zero(self.weights)
-        return self._devectorize(self._elims[d].reduce(self._vectorize(poly, d)), d)
+            return 0, 0
+        return self._elims[d].reduce(self._vectorize(poly, d)), d
+
+    def normal_form(self, poly: Gf2Polynomial) -> Gf2Polynomial:
+        return self._devectorize(*self._reduced(poly))
 
     def is_zero(self, poly: Gf2Polynomial) -> bool:
         """Ideal membership of a homogeneous polynomial."""
-        return not self.normal_form(poly)
+        return not self._reduced(poly)[0]
 
     def times(self, v: int, degree: int, x: Gf2Polynomial) -> int:
         """Reduced vector of the class v (a vector in the given degree) times x."""
@@ -422,29 +426,29 @@ class GrassmannPresentation(GradedQuotient):
         return self._oriented
 
 
-def k3_reduced_quotient(n: int, caps: SizeCaps = DEFAULT_CAPS) -> GradedQuotient:
+def k3_reduced_quotient(n: int) -> GradedQuotient:
     """Z2[w2,w3] modulo the closed-form three-plane generators."""
-    return GradedQuotient((2, 3), ideal_gens_k3(n), caps)
+    return GradedQuotient((2, 3), ideal_gens_k3(n))
 
 
-def k3_reduced_membership(n: int, x: Gf2Polynomial, caps: SizeCaps = DEFAULT_CAPS) -> bool:
+def k3_reduced_membership(n: int, x: Gf2Polynomial) -> bool:
     """Ideal membership against the closed-form generator route (k=3 only)."""
-    return _last_k3_quotient(n, caps).is_zero(x)
+    return _last_k3_quotient(n).is_zero(x)
 
 
 @lru_cache(maxsize=1)
-def _last_k3_quotient(n: int, caps: SizeCaps) -> GradedQuotient:
+def _last_k3_quotient(n: int) -> GradedQuotient:
     """The quotient of the last membership call, kept for the next call on the same n."""
-    return k3_reduced_quotient(n, caps)
+    return k3_reduced_quotient(n)
 
 
-def w1_adjoined_quotient(n: int, k: int, caps: SizeCaps = DEFAULT_CAPS) -> GradedQuotient:
+def w1_adjoined_quotient(n: int, k: int) -> GradedQuotient:
     """Full-ring quotient by the presentation ideal plus (w1), a second route to the oriented reduction."""
     weights = tuple(range(1, k + 1))
     comps = inverse_series_components(k, n)
     gens = [comps[d] for d in range(n - k + 1, n + 1)]
     gens.append(Gf2Polynomial.variable(weights, 1))
-    return GradedQuotient(weights, gens, caps)
+    return GradedQuotient(weights, gens)
 
 
 def longest_monomial_product(ctx: GrassmannPresentation) -> tuple[tuple[int, ...], int, int]:
@@ -612,6 +616,9 @@ def load_record(cache_dir: str, n: int, k: int) -> OrientedSummary | None:
     # A nonzero w2^a * m forces w2^a != 0, and w2^ht is itself a nonzero product of length ht.
     if not exps[0] <= ht <= length:
         raise ValueError(f"{where}: ht_w2 = {ht} is outside [{exps[0]}, {length}] set by the longest product")
+    # b_2 = 1, checked above, makes w2 nonzero.
+    if ht < 1:
+        raise ValueError(f"{where}: ht_w2 = {ht}, but w2 is nonzero (b_2 = 1)")
     return OrientedSummary(n, k, ht, (tuple(exps), length, degree), tuple(betti))
 
 

@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuplength.bounds import (
+    Bound,
     BoundReport,
     check_a2,
     full_report,
     grossman_upper,
     lower_a3,
-    prop_b_certificate,
-    prop_b_lower,
-    prop_d_upper,
+    prop_b_bound,
+    prop_d_bound,
     prop_d_upper_table_value,
     summarize_oriented,
     upper_a1,
@@ -69,38 +69,62 @@ def test_refinement_strictly_beats_degree_count(N, h):
     assert bound <= upper_a1(N, 2)
 
 
-def test_prop_b_lower_closed_forms():
-    assert prop_b_lower(6, 3) == 3
-    assert prop_b_lower(7, 3) == 5
-    assert prop_b_lower(9, 3) == 5
-    assert prop_b_lower(12, 3) == 5
-    assert prop_b_lower(13, 3) == 8
-    assert prop_b_lower(14, 3) == 8
-    assert prop_b_lower(15, 3) == 9
-    assert prop_b_lower(10, 4) == 5
-    assert prop_b_lower(13, 4) == 5
-    assert prop_b_lower(14, 4) == 8
-    assert prop_b_lower(15, 5) == 8
+def test_prop_b_bound_closed_forms():
+    def lower(n, k):
+        return prop_b_bound(n, k)[0].value
+
+    assert lower(6, 3) == 3
+    assert lower(7, 3) == 5
+    assert lower(9, 3) == 5
+    assert lower(12, 3) == 5
+    assert lower(13, 3) == 8
+    assert lower(14, 3) == 8
+    assert lower(15, 3) == 9
+    assert lower(10, 4) == 5
+    assert lower(13, 4) == 5
+    assert lower(14, 4) == 8
+    assert lower(15, 5) == 8
     with pytest.raises(ValueError):
-        prop_b_lower(7, 4)
+        prop_b_bound(7, 4)
 
 
-def test_prop_b_certificate_consistency():
+def test_prop_b_bound_certificate_consistency():
     for k in (3, 4, 5):
         for n in range(2 * k, 40):
-            exps, length, degree = prop_b_certificate(n, k)
+            bound, (exps, length, degree) = prop_b_bound(n, k)
             assert degree == sum(e * w for e, w in zip(exps, range(2, k + 1)))
             assert length == sum(exps)
-            assert lower_a3(k * (n - k), length, degree) == prop_b_lower(n, k), (n, k)
+            assert lower_a3(k * (n - k), length, degree) == bound.value, (n, k)
 
 
-def test_prop_d_upper_spots():
-    assert prop_d_upper(6, 3) == 3
-    assert prop_d_upper(9, 3) == 8
-    assert prop_d_upper(10, 4) == 12
-    assert prop_d_upper(12, 5) == 16
-    assert prop_d_upper(10, 5) == 12
+def test_prop_d_bound_spots():
+    assert prop_d_bound(6, 3).value == 3
+    assert prop_d_bound(9, 3).value == 8
+    assert prop_d_bound(10, 4).value == 12
+    assert prop_d_bound(12, 5).value == 16
+    assert prop_d_bound(10, 5).value == 12
     assert prop_d_upper_table_value(10, 5) == 13
+    with pytest.raises(ValueError):
+        prop_d_bound(7, 4)
+
+
+@pytest.mark.parametrize(
+    "n,k,lower,certificate,upper",
+    [
+        (6, 3, Bound(3, "B(a)"), ((1, 1), 2, 5), Bound(3, "D(a)")),
+        (7, 3, Bound(5, "B(b)"), ((4, 0), 4, 8), Bound(6, "D(b)")),
+        (13, 3, Bound(8, "B(b)"), ((7, 0), 7, 14), Bound(14, "D(b)")),
+        (9, 3, Bound(5, "B(c)"), ((4, 0), 4, 8), Bound(8, "D(b)")),
+        (12, 3, Bound(5, "B(c)"), ((4, 0), 4, 8), Bound(12, "D(b)")),
+        (10, 4, Bound(5, "B(d)"), ((4, 0, 0), 4, 8), Bound(12, "D(b)")),
+        (14, 4, Bound(8, "B(d)"), ((7, 0, 0), 7, 14), Bound(18, "D(b)")),
+        # The table's 13 exceeds the degree count N // 2 = 12.
+        (10, 5, Bound(5, "B(d)"), ((4, 0, 0, 0), 4, 8), Bound(12, "(a1)")),
+    ],
+)
+def test_table_labels(n, k, lower, certificate, upper):
+    assert prop_b_bound(n, k) == (lower, certificate)
+    assert prop_d_bound(n, k) == upper
 
 
 def test_rational_walkthroughs():

@@ -281,6 +281,8 @@ def test_bounds_cache_malformed_field_rejected(tmp_path, capsys, field, value, m
         ({"betti": [1, 0, 1, 1, 1, 1, 2, -1, 1] + [0] * 10}, "a Betti number is negative"),
         # The longest product w2^4 is nonzero, so w2 has height at least 4.
         ({"ht_w2": 3}, "ht_w2 = 3 is outside [4, 4]"),
+        # b_2 = 1 makes w2 nonzero, so a zero height is the record's fault, not the engine's.
+        ({"ht_w2": 0, "longest_product": [[0, 0], 0, 0]}, "ht_w2 = 0, but w2 is nonzero"),
     ],
 )
 def test_bounds_cache_inconsistent_record_rejected(tmp_path, capsys, changes, message):

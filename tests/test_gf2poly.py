@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuplength.gf2poly import (
+    EXPONENT_CAP,
     Gf2Polynomial,
     Monomial,
     ideal_gens_k3,
@@ -85,8 +86,32 @@ def test_monomial_ordering_canonical():
     assert sorted([d, c, b, a], key=lambda m: m.sort_key()) == [a, b, c, d]
 
 
+@pytest.mark.parametrize(
+    "weights,terms,message",
+    [
+        ((), [], "strictly increasing positive"),
+        ((3, 2), [], "strictly increasing positive"),
+        ((2, 2), [], "strictly increasing positive"),
+        ((0, 2), [], "strictly increasing positive"),
+        (W23, [(1,)], "exponent vector length"),
+        (W23, [(1, -1)], "negative exponent"),
+        (W23, [(EXPONENT_CAP + 1, 0)], f"exceeds cap {EXPONENT_CAP}"),
+        (W23, [Monomial((1, 0, 0), W123)], "different variable set"),
+    ],
+)
+def test_constructor_refusals(weights, terms, message):
+    with pytest.raises(ValueError, match=message):
+        Gf2Polynomial(weights, terms)
+
+
 def test_render_golden():
     assert poly(W23, (1, 2), (4, 0)).render() == "w2*w3^2 + w2^4"
+    # Highest degree first, and within a degree the larger reversed exponent vector first.
+    assert parse_polynomial("w2 + w2^3 + w3^2", W23).render() == "w3^2 + w2^3 + w2"
+    assert (
+        parse_polynomial("w3^2 + w2^3 + w2 + w2*w3 + 1 + w4*w2", (2, 3, 4)).render()
+        == "w2*w4 + w3^2 + w2^3 + w2*w3 + w2 + 1"
+    )
     assert Gf2Polynomial.zero(W23).render() == "0"
     assert Gf2Polynomial.one(W23).render() == "1"
 
