@@ -66,13 +66,17 @@ class Gf2Polynomial:
     def __init__(self, weights, terms=()):
         weights = tuple(weights)
         _check_weights(weights)
-        seen: set[tuple[int, ...]] = set()
+        # Each term becomes a checked Monomial before it may cancel, so a
+        # term that a later one cancels is validated all the same.
+        seen: dict[tuple[int, ...], Monomial] = {}
         for t in terms:
-            exps = t.exps if isinstance(t, Monomial) else tuple(t)
-            if isinstance(t, Monomial) and t.weights != weights:
+            if not isinstance(t, Monomial):
+                t = Monomial(tuple(t), weights)
+            elif t.weights != weights:
                 raise ValueError("term over a different variable set")
-            seen.symmetric_difference_update([exps])
-        normalized = tuple(sorted((Monomial(e, weights) for e in seen), key=Monomial.sort_key))
+            if seen.pop(t.exps, None) is None:
+                seen[t.exps] = t
+        normalized = tuple(sorted(seen.values(), key=Monomial.sort_key))
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "terms", normalized)
 

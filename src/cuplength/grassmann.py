@@ -67,13 +67,13 @@ def monomial_basis(weights: tuple[int, ...], degree: int) -> list[tuple[int, ...
 
 
 def _shifted(v: int, starts, targets) -> int:
-    """Image of a bit vector under a block table, one block at a time.
+    """Image of a bit vector under a run table, one run at a time.
 
-    Block i holds the columns from starts[i] up to the next block's start (the
+    Run i holds the columns from starts[i] up to the next run's start (the
     last one up to the end of the degree) and moves them, in order, to the
     columns from targets[i] on.  Each step takes the bits of v from the start
-    of the block that holds its highest set bit, moves them together and
-    clears them, so only blocks that hold a bit are visited.
+    of the run that holds its highest set bit, moves them together and clears
+    them, so only runs that hold a bit are visited.
     """
     out = 0
     while v:
@@ -82,6 +82,30 @@ def _shifted(v: int, starts, targets) -> int:
         out |= v >> s << targets[i]
         v &= (1 << s) - 1
     return out
+
+
+def _runs(rests, counts, w: int, head: bool) -> tuple[array, array]:
+    """Run table of a variable of weight w that maps each block of a degree into one block w up.
+
+    rests holds, per nonempty target block in canonical order, the degree
+    left to the variables that vary inside it, and counts[r] is a block's
+    length at rest r; the source block of the same later exponents has rest
+    r - w.  It lands, in order, on the head of its target block or on the
+    tail.  Adjacent blocks that move by the same offset form one run.
+    """
+    starts, targets = array("I"), array("I")
+    start = end = 0
+    for r in rests:
+        length = counts[r]
+        n = counts[r - w] if r >= w else 0
+        if n:
+            target = end if head else end + length - n
+            if not starts or target - start != targets[-1] - starts[-1]:
+                starts.append(start)
+                targets.append(target)
+            start += n
+        end += length
+    return starts, targets
 
 
 class GradedQuotient:
@@ -104,7 +128,7 @@ class GradedQuotient:
 
     A column is known only by counting: column c of degree d is the monomial
     with c monomials of degree d before it in the canonical order, so ranks,
-    widths and block tables all come from _counts.
+    widths and run tables all come from _counts.
 
     ranks_only keeps of a built degree only its rank: its rows live on in
     _sig while a later degree may shift them, and no eliminator is kept, so
@@ -136,7 +160,7 @@ class GradedQuotient:
         # Per variable position p and degree r: the number of monomials of
         # degree r in the variables up to p.
         self._counts: list[list[int]] = [[] for _ in self.weights]
-        # Block tables of multiplication by each variable: (source degree, position) -> (starts, targets).
+        # Run tables of multiplication by each variable: (source degree, position) -> (starts, targets).
         self._blocks: dict[tuple[int, int], tuple[array, array]] = {}
         # Per degree and pivot column: 1 + the generator whose row installed it, else 0.
         self._owner: list[bytearray] = []
@@ -195,43 +219,42 @@ class GradedQuotient:
         if d >= m - 1 and all(self._counts[-1][e] == self._ranks[e] for e in range(d - m + 1, d + 1)):
             self.top = d - m
             del self._ranks[d - m + 1 :], self._elims[d - m + 1 :], self._owner[d - m + 1 :]
-            # Nothing reads a block table into a vanished degree.
+            # Nothing reads a run table into a vanished degree.
             self._blocks = {key: t for key, t in self._blocks.items() if key[0] + self.weights[key[1]] <= self.top}
         if self._vanishes(d + 1):
             self._sig.clear()
 
     def _add_block_tables(self, d: int) -> None:
-        """Block tables of multiplication by each variable into degree d.
+        """Run tables of multiplication by each variable into degree d.
 
         In the canonical order, the columns of a degree that share the
         exponents of the variables after x_p form one contiguous block, and
-        the blocks come in the canonical order of those later exponents.  x_p
-        sends a block, in order, onto the tail of the block with the same
-        later exponents one degree w_p up: the monomials of that block with
-        x_p in them.  A block's length is a monomial count over the variables
-        up to x_p, so the tables follow from _counts alone.
+        the blocks come in the canonical order of those later exponents.  For
+        p >= 1, x_p sends a block, in order, onto the tail of the block with
+        the same later exponents one degree w_p up: the monomials of that
+        block with x_p in them.  x_0 keeps the exponent of x_1, so it sends
+        each block of the (x_0, x_1) level onto the head of its target; the
+        blocks of x_0 alone, single columns, are never listed.  A block's
+        length is a monomial count over the variables up to x_p, so the
+        tables follow from _counts alone, and each is stored as its maximal
+        runs (see _runs): the last variable's is one run, a plain <<.
         """
-        weights = self.weights
+        weights, counts = self.weights, self._counts
         # Degrees left to the variables up to p, one per nonempty block of
         # degree d, in canonical order.
         rests = [d]
-        for p in range(len(weights) - 1, -1, -1):
+        for p in range(len(weights) - 1, 0, -1):
             w = weights[p]
-            counts = self._counts[p]
             if d >= w:
-                starts, targets = array("I"), array("I")
-                start = end = 0
-                for r in rests:
-                    end += counts[r]
-                    n = counts[r - w] if r >= w else 0
-                    if n:
-                        starts.append(start)
-                        targets.append(end - n)
-                        start += n
-                self._blocks[d - w, p] = (starts, targets)
-            if p:
-                below = self._counts[p - 1]
+                self._blocks[d - w, p] = _runs(rests, counts[p], w, head=False)
+            if p > 1:
+                below = counts[p - 1]
                 rests = [s for r in rests for s in range(r, -1, -w) if below[s]]
+        # rests now lists the (x_0, x_1) blocks; with x_0 alone, the one
+        # block is the whole degree and x_0 fills its tail.
+        if d >= weights[0]:
+            level = min(1, len(weights) - 1)
+            self._blocks[d - weights[0], 0] = _runs(rests, counts[level], weights[0], head=level == 1)
 
     def _signature_rows(self, d: int, j: int, te: int):
         """(column of t, row) for the signatures (t, j) of degree d, in increasing signature order.
@@ -251,10 +274,13 @@ class GradedQuotient:
                 continue
             src = self._sig[d - w][j]
             offset = self._counts[pos - 1][te] if pos else 0
+            starts, targets = self._blocks[d - w, pos]
+            # A table of one run (the last variable's, always) moves every row by targets[0].
+            lone = targets[0] if len(starts) == 1 else None
             for c in range(self._counts[pos][te - w] - 1, -1, -1):
                 r = src[c]
                 if r and not 0 < owner[c + offset] <= j:
-                    yield c + offset, self._shift(r, d - w, pos)
+                    yield c + offset, r << lone if lone is not None else _shifted(r, starts, targets)
 
     def _shift(self, v: int, degree: int, pos: int) -> int:
         """The vector v of the given degree times the variable at pos."""

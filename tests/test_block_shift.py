@@ -1,11 +1,11 @@
 """Block shifts against the per-bit column-map loop they replaced.
 
-GradedQuotient._shift multiplies a row by a variable one block of columns at
-a time, reading block tables derived from monomial counts.  The reference here
-is the loop the ladder used before: one set bit at a time through a column
-map looked up in monomial_basis.  The columns themselves are ranked from the
-same counts, checked here against monomial_basis as well.  CI also runs this
-file under python -O.
+GradedQuotient._shift multiplies a row by a variable one run of columns at a
+time, reading run tables derived from monomial counts.  The reference here is
+the loop the ladder used before: one set bit at a time through a column map
+looked up in monomial_basis.  The tables themselves are checked against the
+maximal runs of that map, and the columns, ranked from the same counts,
+against monomial_basis as well.  CI also runs this file under python -O.
 """
 
 import random
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from cuplength.gf2poly import Gf2Polynomial
 from cuplength.grassmann import (
+    GradedQuotient,
     GrassmannPresentation,
     k3_reduced_quotient,
     monomial_basis,
@@ -36,6 +37,7 @@ QUOTIENTS = {
     "oriented (2, ..., 6)": lambda: GrassmannPresentation(12, 6).oriented(),
     "w1-adjoined (1, ..., 4)": lambda: w1_adjoined_quotient(12, 4),
     "closed form (2, 3)": lambda: k3_reduced_quotient(12),
+    "single variable (2,)": lambda: GradedQuotient((2,), [Gf2Polynomial((2,), [(9,)])]),
 }
 
 
@@ -102,21 +104,19 @@ def test_block_shift_matches_per_bit_loop_on_random_rows(data):
 
 
 @pytest.mark.parametrize("kind", sorted(QUOTIENTS))
-def test_block_tables_have_one_block_per_later_exponent_vector(kind):
+def test_block_tables_are_maximal_runs_of_column_map(kind):
     quotient = built(kind)
     for d, pos in shifts(quotient):
-        basis = monomial_basis(quotient.weights, d)
-        starts, targets = quotient._blocks[d, pos]
-        later = [m[pos + 1 :] for m in basis]
-        assert list(starts) == [c for c in range(len(basis)) if c == 0 or later[c] != later[c - 1]]
         mapping = column_map(quotient.weights, d, pos)
+        starts, targets = quotient._blocks[d, pos]
+        # A run ends where a column does not land right after its predecessor's image.
+        assert list(starts) == [c for c in range(len(mapping)) if c == 0 or mapping[c] != mapping[c - 1] + 1]
         assert list(targets) == [mapping[c] for c in starts]
-        # The first block, the monomials with no variable after x_pos, is
-        # what the signature ladder reads; it used to be found by bisection.
+        # The monomials with no variable after x_pos, the first columns, are
+        # what the signature ladder reads; it used to find them by bisection.
+        basis = monomial_basis(quotient.weights, d)
         limit = bisect_left(basis, True, key=lambda m: any(m[pos + 1 :]))
         assert quotient._counts[pos][d] == limit
-        if limit:
-            assert (starts[1] if len(starts) > 1 else len(basis)) == limit
 
 
 @pytest.mark.parametrize("kind", sorted(QUOTIENTS))

@@ -130,6 +130,19 @@ def test_parse_golden():
         parse_polynomial("w2^300 + w2^300", W23)
 
 
+@pytest.mark.parametrize(
+    "terms,message",
+    [
+        ([(300, 0), (300, 0)], "exceeds cap"),
+        ([(-1, 0), (-1, 0)], "negative exponent"),
+        ([(1,), (1,)], "exponent vector length"),
+    ],
+)
+def test_constructor_checks_terms_that_cancel(terms, message):
+    with pytest.raises(ValueError, match=message):
+        Gf2Polynomial(W23, terms)
+
+
 def test_characteristic_two_cancellation():
     x = poly(W23, (1, 0))
     assert x + x == Gf2Polynomial.zero(W23)
