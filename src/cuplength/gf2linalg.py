@@ -6,31 +6,38 @@ from __future__ import annotations
 class Eliminator:
     """Incremental echelon accumulator over GF(2): each added row is reduced
     against the current pivots until its lowest bit is a new pivot, then
-    installed as it stands.  No row is rewritten; reads reduce against them."""
+    installed as it stands.  No row is rewritten; reads reduce against them.
+
+    A row is stored shifted down to its pivot p, its lowest set bit: the row
+    v is kept as p -> v >> p, an odd integer, so it costs only the bits from
+    its pivot up, and the caller may hand in a row object it keeps elsewhere."""
 
     __slots__ = ("_piv", "_mask")
 
     def __init__(self):
         self._piv: dict[int, int] = {}
-        self._mask = 0
+        # Bit p set for each pivot p; None until the first read after an add.
+        self._mask: int | None = 0
 
     @property
     def rank(self) -> int:
         return len(self._piv)
 
-    def add(self, v: int) -> int:
-        """Insert a vector; returns the row installed for it, or 0 if it was in the span."""
+    def add(self, u: int, p: int) -> int:
+        """Insert the row u << p, u odd; returns 1 + the pivot it was installed at, or 0 if it was in the span."""
         piv = self._piv
-        while v:
-            low = v & -v
-            p = low.bit_length() - 1
+        while True:
             r = piv.get(p)
             if r is None:
-                piv[p] = v
-                self._mask |= low
-                return v
-            v ^= r
-        return 0
+                piv[p] = u
+                self._mask = None
+                return p + 1
+            u ^= r
+            if not u:
+                return 0
+            s = (u & -u).bit_length() - 1
+            u >>= s
+            p += s
 
     def reduce(self, v: int) -> int:
         """Normal form of v, zero iff v is in the span: the one vector of v + span
@@ -38,12 +45,19 @@ class Eliminator:
         Each xor clears the lowest hit and sets bits only above it, so the loop ends."""
         piv = self._piv
         mask = self._mask
+        if mask is None:
+            # One digit per column up to the highest pivot, read as a binary numeral.
+            digits = bytearray(b"0") * (max(piv) + 1)
+            for p in piv:
+                digits[p] = 49  # ord("1")
+            mask = self._mask = int(digits[::-1], 2)
         hits = v & mask
         while hits:
-            v ^= piv[(hits & -hits).bit_length() - 1]
+            p = (hits & -hits).bit_length() - 1
+            v ^= piv[p] << p
             hits = v & mask
         return v
 
     def finalize(self) -> dict[int, int]:
         """Reduced echelon form of the rows, pivot -> row; the rows stay as installed."""
-        return {p: 1 << p | self.reduce(r ^ 1 << p) for p, r in self._piv.items()}
+        return {p: 1 << p | self.reduce((u ^ 1) << p) for p, u in self._piv.items()}

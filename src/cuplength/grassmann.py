@@ -66,22 +66,27 @@ def monomial_basis(weights: tuple[int, ...], degree: int) -> list[tuple[int, ...
     return out
 
 
-def _shifted(v: int, starts, targets) -> int:
-    """Image of a bit vector under a run table, one run at a time.
+def _shifted(u: int, starts, targets, low: int, out: int) -> int:
+    """Image of the bit vector u << low under a run table, shifted down by out.
 
     Run i holds the columns from starts[i] up to the next run's start (the
     last one up to the end of the degree) and moves them, in order, to the
-    columns from targets[i] on.  Each step takes the bits of v from the start
+    columns from targets[i] on.  Each step takes the bits of u from the start
     of the run that holds its highest set bit, moves them together and clears
-    them, so only runs that hold a bit are visited.
+    them, so only runs that hold a bit are visited.  out must not exceed the
+    image of the lowest set bit; the ladder passes exactly that image, its
+    predicted pivot, and _shift passes low = out = 0.
     """
-    out = 0
-    while v:
-        i = bisect_right(starts, v.bit_length() - 1) - 1
-        s = starts[i]
-        out |= v >> s << targets[i]
-        v &= (1 << s) - 1
-    return out
+    image = 0
+    while u:
+        i = bisect_right(starts, u.bit_length() - 1 + low) - 1
+        s = starts[i] - low
+        if s <= 0:
+            # The run holds every bit left, the lowest too.
+            return image | u << targets[i] - s - out
+        image |= u >> s << targets[i] - out
+        u &= (1 << s) - 1
+    return image
 
 
 def _runs(rests, counts, w: int, head: bool) -> tuple[array, array]:
@@ -130,6 +135,12 @@ class GradedQuotient:
     with c monomials of degree d before it in the canonical order, so ranks,
     widths and run tables all come from _counts.
 
+    A row is kept shifted down to its pivot, as the eliminator holds it, and
+    the pivot of x_i times a row is the image of the row's pivot, since run
+    tables preserve order.  So a row of the last variable's one-run table is
+    the source row object itself, shared by both degrees, with only its
+    pivot moved.  A row is kept in _sig only if a degree up to top reads it.
+
     ranks_only keeps of a built degree only its rank: its rows live on in
     _sig while a later degree may shift them, and no eliminator is kept, so
     dim works but a read that reduces (normal_form, is_zero, times,
@@ -165,8 +176,10 @@ class GradedQuotient:
         # Per degree and pivot column: 1 + the generator whose row installed it, else 0.
         self._owner: list[bytearray] = []
         # Signature rows of the last max(weights) degrees: per generator, the
-        # installed row of (t, j) by column of t, 0 where none was installed.
-        self._sig: dict[int, list[list[int] | None]] = {}
+        # installed row of (t, j) by column of t, shifted down to its pivot as
+        # the eliminator holds it (0 where none was installed), and beside it
+        # the pivots.  Only the columns of the t a degree up to top reads are kept.
+        self._sig: dict[int, list[tuple[list[int], array] | None]] = {}
 
     def extend_to(self, degree: int) -> None:
         if self.top is not None:
@@ -188,21 +201,33 @@ class GradedQuotient:
             raise SizeCapExceeded(f"degree {d} basis has {width} monomials, cap {self.caps.max_basis}")
         self._add_block_tables(d)
         elim = Eliminator()
+        installed = elim._piv
         owner = bytearray(width)
-        sig: list[list[int] | None] = []
+        # A row whose t ends in x_p is first read in degree d + min(weights[p:]),
+        # which grows with p; the window keeps the columns of the t in x_0..x_last,
+        # the variables whose rows some degree up to top reads.
+        last = sum(self.top is None or d + min(self.weights[p:]) <= self.top for p in range(len(self.weights))) - 1
+        sig: list[tuple[list[int], array] | None] = []
         for j, (g, dg) in enumerate(zip(self.generators, self._gen_degrees)):
             te = d - dg
             if te < 0:
                 sig.append(None)
                 continue
-            rows = [0] * self._counts[-1][te]
-            sig.append(rows)
-            todo = [(0, self._vectorize(g, d))] if te == 0 else self._signature_rows(d, j, te)
-            for tc, v in todo:
-                row = elim.add(v)
-                if row:
-                    rows[tc] = row
-                    owner[(row & -row).bit_length() - 1] = j + 1
+            keep = self._counts[last][te] if last >= 0 else 0
+            rows, pivots = [0] * keep, array("I", [0]) * keep
+            sig.append((rows, pivots))
+            if te == 0:
+                v = self._vectorize(g, d)
+                p = (v & -v).bit_length() - 1
+                todo = [(0, v >> p, p)]
+            else:
+                todo = self._signature_rows(d, j, te)
+            for tc, u, p in todo:
+                q = elim.add(u, p)
+                if q:
+                    owner[q - 1] = j + 1
+                    if tc < keep:
+                        rows[tc], pivots[tc] = installed[q - 1], q - 1
                 elif self.regular_name is not None:
                     raise RuntimeError(
                         f"ring {self.regular_name}: a row of degree {d} from generator index {j} "
@@ -257,9 +282,10 @@ class GradedQuotient:
             self._blocks[d - weights[0], 0] = _runs(rests, counts[level], weights[0], head=level == 1)
 
     def _signature_rows(self, d: int, j: int, te: int):
-        """(column of t, row) for the signatures (t, j) of degree d, in increasing signature order.
+        """(column of t, row, pivot) for the signatures (t, j) of degree d, in increasing signature order.
 
-        The t whose last variable is x_pos fill the columns from
+        Each row comes shifted down to its pivot, the image of its source
+        row's pivot.  The t whose last variable is x_pos fill the columns from
         counts[pos - 1][te] up to counts[pos][te], and x_pos maps the
         monomials of degree te - w_pos in the variables up to x_pos, the
         first columns of that degree, onto them in order.  So going down pos,
@@ -272,19 +298,27 @@ class GradedQuotient:
             w = self.weights[pos]
             if te < w:
                 continue
-            src = self._sig[d - w][j]
+            rows, pivots = self._sig[d - w][j]
             offset = self._counts[pos - 1][te] if pos else 0
             starts, targets = self._blocks[d - w, pos]
-            # A table of one run (the last variable's, always) moves every row by targets[0].
+            # A table of one run (the last variable's, always) moves every row
+            # by targets[0]: the row stays as it is and only its pivot moves.
             lone = targets[0] if len(starts) == 1 else None
             for c in range(self._counts[pos][te - w] - 1, -1, -1):
-                r = src[c]
-                if r and not 0 < owner[c + offset] <= j:
-                    yield c + offset, r << lone if lone is not None else _shifted(r, starts, targets)
+                u = rows[c]
+                if u and not 0 < owner[c + offset] <= j:
+                    sp = pivots[c]
+                    if lone is not None:
+                        yield c + offset, u, sp + lone
+                    else:
+                        # Run tables preserve order: the pivot lands where its run sends it.
+                        i = bisect_right(starts, sp) - 1
+                        p = sp - starts[i] + targets[i]
+                        yield c + offset, _shifted(u, starts, targets, sp, p), p
 
     def _shift(self, v: int, degree: int, pos: int) -> int:
         """The vector v of the given degree times the variable at pos."""
-        return _shifted(v, *self._blocks[degree, pos])
+        return _shifted(v, *self._blocks[degree, pos], 0, 0)
 
     def _vectorize(self, poly: Gf2Polynomial, degree: int) -> int:
         """One bit per term, at its column.  From the last variable down, with r the degree

@@ -53,6 +53,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"ACCEPTANCE {number:02d} {status}: {CRITERIA[number]}")
 
 
+def add_row(elim: Eliminator, v: int) -> int:
+    """Add the vector v as the ladder adds its rows, shifted down to the pivot
+    (its lowest set bit); a zero vector is in every span and is not added."""
+    if not v:
+        return 0
+    p = (v & -v).bit_length() - 1
+    return elim.add(v >> p, p)
+
+
+def installed_rows(elim: Eliminator) -> dict[int, int]:
+    """The rows of an Eliminator in place, pivot -> row."""
+    return {p: u << p for p, u in elim._piv.items()}
+
+
 def w1_images(ring: SchubertRing) -> list[Eliminator]:
     """Per degree d, an Eliminator over w1 times each Schubert class of degree d - 1.
 
@@ -67,7 +81,7 @@ def w1_images(ring: SchubertRing) -> list[Eliminator]:
     for d in range(1, ring.N + 1):
         elim = Eliminator()
         for c in range(ring._counts[d - 1]):
-            elim.add(ring.times(1 << c, d - 1, w1))
+            add_row(elim, ring.times(1 << c, d - 1, w1))
         elims.append(elim)
     return elims
 

@@ -1,7 +1,8 @@
 """Block shifts against the per-bit column-map loop they replaced.
 
 GradedQuotient._shift multiplies a row by a variable one run of columns at a
-time, reading run tables derived from monomial counts.  The reference here is
+time, reading run tables derived from monomial counts; the ladder does the
+same to a row stored shifted down to its pivot.  The reference here is
 the loop the ladder used before: one set bit at a time through a column map
 looked up in monomial_basis.  The tables themselves are checked against the
 maximal runs of that map, and the columns, ranked from the same counts,
@@ -9,7 +10,7 @@ against monomial_basis as well.  CI also runs this file under python -O.
 """
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import cache
 
 import pytest
@@ -20,6 +21,7 @@ from cuplength.gf2poly import Gf2Polynomial
 from cuplength.grassmann import (
     GradedQuotient,
     GrassmannPresentation,
+    _shifted,
     k3_reduced_quotient,
     monomial_basis,
     w1_adjoined_quotient,
@@ -101,6 +103,27 @@ def test_block_shift_matches_per_bit_loop_on_random_rows(data):
     density = data.draw(st.floats(0, 1))
     v = random_row(random.Random(data.draw(st.integers(0, 2**32))), len(mapping), density)
     assert quotient._shift(v, d, pos) == shift_bits(v, mapping)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_offset_shift_of_a_row_stored_at_its_pivot(data):
+    # The ladder keeps a row as u at pivot sp, standing for u << sp, and
+    # shifts it straight to its image shifted down to the image of sp.
+    quotient = built(data.draw(st.sampled_from(sorted(QUOTIENTS))))
+    # Degrees with no monomial hold no row.
+    d, pos = data.draw(st.sampled_from([(d, pos) for d, pos in shifts(quotient) if quotient._counts[-1][d]]))
+    mapping = column_map(quotient.weights, d, pos)
+    starts, targets = quotient._blocks[d, pos]
+    sp = data.draw(st.integers(0, len(mapping) - 1))
+    u = data.draw(st.integers(0, 2 ** (len(mapping) - sp - 1) - 1)) << 1 | 1
+    p = mapping[sp]
+    # The pivot's image is read off the run that holds it.
+    i = bisect_right(starts, sp) - 1
+    assert sp - starts[i] + targets[i] == p
+    shifted = _shifted(u, starts, targets, sp, p)
+    assert shifted == _shifted(u << sp, starts, targets, 0, 0) >> p == shift_bits(u << sp, mapping) >> p
+    assert shifted & 1
 
 
 @pytest.mark.parametrize("kind", sorted(QUOTIENTS))

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from cuplength.gf2linalg import Eliminator
 
+from conftest import add_row, installed_rows
+
 
 def naive_rank(rows: list[int]) -> int:
     """Textbook elimination with per-column scans, no pivot bookkeeping."""
@@ -25,7 +27,7 @@ def holding(rows: list[int]) -> Eliminator:
     """An Eliminator the given rows were added to, in order."""
     elim = Eliminator()
     for r in rows:
-        elim.add(r)
+        add_row(elim, r)
     return elim
 
 
@@ -42,9 +44,7 @@ def test_membership_against_span_enumeration():
         width = rng.randint(1, 24)
         count = rng.randint(0, min(12, width))
         rows = [rng.getrandbits(width) for _ in range(count)]
-        elim = Eliminator()
-        for r in rows:
-            elim.add(r)
+        elim = holding(rows)
         span = span_of(rows)
         assert elim.rank == naive_rank(rows)
         sample = rng.sample(sorted(span), min(16, len(span)))
@@ -102,11 +102,30 @@ def test_reduce_fixed_point(rows):
 
 def test_eliminator_add_reports_growth():
     elim = Eliminator()
-    assert elim.add(0b101)
-    assert not elim.add(0b101)
-    assert elim.add(0b011)
-    assert not elim.add(0b110)
+    assert elim.add(0b101, 0)
+    assert not elim.add(0b101, 0)
+    assert elim.add(0b011, 0)
+    assert not elim.add(0b011, 1)
     assert elim.rank == 2
+
+
+@settings(max_examples=80)
+@given(st.lists(st.integers(0, 2**16 - 1), max_size=12))
+def test_add_installs_odd_rows_at_their_pivots_and_returns_one_past_the_pivot(rows):
+    elim = Eliminator()
+    for r in rows:
+        before = dict(elim._piv)
+        q = add_row(elim, r)
+        if q:
+            # One new pivot, q - 1; the rows already installed are untouched.
+            assert set(elim._piv) == set(before) | {q - 1} and q - 1 not in before
+            assert all(elim._piv[p] is u for p, u in before.items())
+            # The installed row is r reduced by rows of the span, shifted down to its pivot.
+            assert elim._piv[q - 1] & 1
+            assert naive_rank(list(installed_rows(elim).values()) + [r]) == elim.rank
+        else:
+            assert elim._piv == before
+    assert elim.rank == naive_rank(rows)
 
 
 def test_finalize_idempotent_membership():
@@ -136,30 +155,41 @@ def test_finalize_snapshot_spans_the_rows_and_leaves_them_installed(rows):
     assert elim._piv == installed
 
 
-def test_add_returns_installed_row_and_reads_leave_it_installed():
+def test_add_returns_installed_pivot_and_reads_leave_the_row_installed():
     elim = Eliminator()
-    assert elim.add(0b011) == 0b011
-    # Reduced only until its lowest bit is a new pivot: 0b101 ^ 0b011.
-    assert elim.add(0b101) == 0b110
-    assert elim.add(0b110) == 0
+    assert elim.add(0b011, 0) == 1
+    # Reduced only until its lowest bit is a new pivot: 0b101 ^ 0b011 = 0b110, pivot 1.
+    assert elim.add(0b101, 0) == 2
+    assert elim.add(0b011, 1) == 0
     # Row 0 keeps its bit in pivot column 1; the normal form is the same either way.
     assert elim.reduce(0b010) == 0b100
-    assert elim._piv == {0: 0b011, 1: 0b110}
+    # Each row is kept shifted down to its pivot: 0b110 as 0b11 at 1.
+    assert elim._piv == {0: 0b011, 1: 0b011}
+    assert installed_rows(elim) == {0: 0b011, 1: 0b110}
     assert elim.finalize() == {0: 0b101, 1: 0b110}
-    assert elim._piv == {0: 0b011, 1: 0b110}
+    assert elim._piv == {0: 0b011, 1: 0b011}
+
+
+def test_add_keeps_the_row_object_it_installs_unreduced():
+    # A row that reaches a new pivot untouched is stored as the object handed in.
+    elim = Eliminator()
+    row = (1 << 300) + 1
+    elim.add(0b1, 0)
+    assert elim.add(row, 5) == 6
+    assert elim._piv[5] is row
 
 
 def test_reads_between_adds_leave_no_hidden_state():
     read, unread = Eliminator(), Eliminator()
     for elim in (read, unread):
-        elim.add(0b101)
-        elim.add(0b100)
+        elim.add(0b101, 0)
+        elim.add(0b1, 2)
     assert read.reduce(0b011) == 0b010
     read.finalize()
-    # 0b011 ^ 0b101 against the rows as installed; a read that back-substituted
-    # row 0 to 0b001 would make this add install 0b010.
-    assert read.add(0b011) == unread.add(0b011) == 0b110
-    assert read._piv == unread._piv == {0: 0b101, 1: 0b110, 2: 0b100}
+    # 0b011 ^ 0b101 = 0b110 against the rows as installed; a read that
+    # back-substituted row 0 to 0b001 would make this add install 0b010.
+    assert read.add(0b011, 0) == unread.add(0b011, 0) == 2
+    assert read._piv == unread._piv == {0: 0b101, 1: 0b11, 2: 0b1}
     rng = random.Random(611)
     for trial in range(200):
         read, unread = Eliminator(), Eliminator()
@@ -168,5 +198,5 @@ def test_reads_between_adds_leave_no_hidden_state():
             if rng.random() < 0.5:
                 read.reduce(rng.getrandbits(16))
                 read.finalize()
-            assert read.add(v) == unread.add(v), f"trial {trial}"
+            assert add_row(read, v) == add_row(unread, v), f"trial {trial}"
         assert read._piv == unread._piv, f"trial {trial}"

@@ -33,6 +33,8 @@ from cuplength.grassmann import (
 )
 from cuplength.heights import height_direct
 
+from conftest import add_row, installed_rows
+
 
 def shift_bits(v: int, mapping: list[int]) -> int:
     out = 0
@@ -79,14 +81,14 @@ def shift_everything_ladder(weights, generators, top: int) -> list[dict[int, int
                 continue
             mapping = [index[m[:pos] + (m[pos] + 1,) + m[pos + 1 :]] for m in bases[d - w]]
             for _, row in sorted(pivots[d - w].items()):
-                elim.add(shift_bits(row, mapping))
+                add_row(elim, shift_bits(row, mapping))
         for g in generators:
             if g and g.homogeneous_degree() == d:
                 v = 0
                 for t in g.terms:
                     v |= 1 << index[t.exps]
-                elim.add(v)
-        pivots.append(reduced_echelon_form(elim._piv.values()))
+                add_row(elim, v)
+        pivots.append(reduced_echelon_form(installed_rows(elim).values()))
     return pivots
 
 
@@ -116,7 +118,7 @@ def test_signature_ladder_matches_shift_everything_ladder(n, k):
             assert quotient.dim(d) == widths[d] - len(oracle[d]), (name, d)
         top = N if quotient.top is None else min(quotient.top, N)
         for d in range(top + 1):
-            assert reduced_echelon_form(quotient._elims[d]._piv.values()) == oracle[d], (name, d)
+            assert reduced_echelon_form(installed_rows(quotient._elims[d]).values()) == oracle[d], (name, d)
         # The oracle builds every degree: each one the ladder skipped is zero there too.
         for d in range(top + 1, N + 1):
             assert len(oracle[d]) == widths[d], (name, d)
@@ -142,11 +144,11 @@ class CountingEliminator(Eliminator):
 
     zero_rows = 0
 
-    def add(self, v: int) -> int:
-        row = super().add(v)
-        if not row:
+    def add(self, u: int, p: int) -> int:
+        installed = super().add(u, p)
+        if not installed:
             CountingEliminator.zero_rows += 1
-        return row
+        return installed
 
 
 @pytest.mark.parametrize(
