@@ -16,11 +16,9 @@ from .bounds import (
 from .gf2poly import Gf2Polynomial, Monomial, ideal_gens_k3, inverse_series_components, parse_polynomial
 from .gf2linalg import Eliminator
 from .grassmann import (
-    DEFAULT_CAPS,
     GradedQuotient,
     GrassmannPresentation,
     SizeCapExceeded,
-    SizeCaps,
 )
 from .heights import (
     HeightRecord,

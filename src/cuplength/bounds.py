@@ -14,10 +14,8 @@ from dataclasses import dataclass, field
 
 from .gf2poly import Gf2Polynomial
 from .grassmann import (
-    DEFAULT_CAPS,
     GrassmannPresentation,
     OrientedSummary,
-    SizeCaps,
     check_domain,
     longest_monomial_product,
 )
@@ -161,7 +159,6 @@ def full_report(
     n: int,
     k: int,
     field_tag: str = "Z2",
-    caps: SizeCaps = DEFAULT_CAPS,
     summary: OrientedSummary | None = None,
 ) -> BoundReport:
     """Assemble closed-form and engine-sharpened bounds for (n, k).
@@ -190,7 +187,7 @@ def full_report(
         best_low, best_up = paper_low, paper_up
 
         if summary is None:
-            summary = summarize_oriented(GrassmannPresentation(n, k, caps))
+            summary = summarize_oriented(GrassmannPresentation(n, k))
         # (b1) needs no classes strictly between r = 2 and q.  The relations start
         # in degree n - k + 1 >= 4, so w3 is nonzero in degree 3 and q = 3.
         b2, b3 = summary.char_dims[2:4]

@@ -14,11 +14,11 @@ from .bounds import full_report, summarize_oriented
 from .checks import CHECKS
 from .gf2poly import Gf2Polynomial, ideal_gens_k3, parse_polynomial
 from .grassmann import (
-    DEFAULT_CAPS,
+    MAX_DEGREE,
     GrassmannPresentation,
     OrientedSummary,
     SizeCapExceeded,
-    SizeCaps,
+    formal_dimension,
     load_record,
     save_record,
 )
@@ -59,20 +59,13 @@ def _emit(fmt: str, payload, columns: tuple, rows, text: list[str]) -> None:
         print("\n".join(text))
 
 
-def _caps(args) -> SizeCaps:
-    if args.max_degree is None:
-        return DEFAULT_CAPS
+def _max_degree(args) -> int:
+    """The --max-degree cap, validated; bounds and sweep also validate --cache-dir here."""
     if args.max_degree < 1:
         raise ValueError("--max-degree must be positive")
-    return SizeCaps(max_formal_dim=args.max_degree, max_basis=DEFAULT_CAPS.max_basis)
-
-
-def _report_caps(args) -> SizeCaps:
-    """The caps of bounds and sweep, once --max-degree and --cache-dir are validated."""
-    caps = _caps(args)
-    if args.cache_dir and not os.path.isdir(args.cache_dir):
+    if getattr(args, "cache_dir", None) and not os.path.isdir(args.cache_dir):
         raise ValueError(f"--cache-dir {args.cache_dir!r} is not an existing directory")
-    return caps
+    return args.max_degree
 
 
 def _rational_undefined(args) -> bool:
@@ -83,21 +76,22 @@ def _rational_undefined(args) -> bool:
     return False
 
 
-def _cached_summary(n: int, k: int, args, caps: SizeCaps) -> OrientedSummary:
+def _cached_summary(n: int, k: int, args, max_degree: int) -> OrientedSummary:
     """Oriented ring summary, through the record cache when one is configured."""
+    formal_dimension(n, k, max_degree)  # before the cache, so a warm run refuses what a cold run does
     if args.cache_dir and not args.no_cache:
         summary = load_record(args.cache_dir, n, k)
         if summary is not None:
             return summary
-    summary = summarize_oriented(GrassmannPresentation(n, k, caps))
+    summary = summarize_oriented(GrassmannPresentation(n, k, max_degree))
     if args.cache_dir:
         save_record(args.cache_dir, summary)
     return summary
 
 
-def _build_report(n: int, k: int, field_tag: str, args, caps: SizeCaps):
-    summary = _cached_summary(n, k, args, caps) if field_tag == "Z2" else None
-    return full_report(n, k, field_tag, caps=caps, summary=summary)
+def _build_report(n: int, k: int, field_tag: str, args, max_degree: int):
+    summary = _cached_summary(n, k, args, max_degree) if field_tag == "Z2" else None
+    return full_report(n, k, field_tag, summary=summary)
 
 
 def _report_row(report) -> tuple:
@@ -135,7 +129,7 @@ def _report_text(report) -> list[str]:
 
 def cmd_ring(args) -> int:
     n, k = args.n, args.k
-    pres = GrassmannPresentation(n, k, _caps(args), ranks_only=True)
+    pres = GrassmannPresentation(n, k, _max_degree(args), ranks_only=True)
     betti = pres.betti()
     total = sum(betti)
     binomial = math.comb(n, k)
@@ -161,7 +155,7 @@ def cmd_ring(args) -> int:
 
 def cmd_ideal_gens(args) -> int:
     n, k = args.n, args.k
-    pres = GrassmannPresentation(n, k, _caps(args))
+    pres = GrassmannPresentation(n, k, _max_degree(args))
     columns = ("degree", "polynomial")
     rows = [(n - k + 1 + i, g.render()) for i, g in enumerate(pres.ideal_gens)]
     payload = {"n": n, "k": k, "generators": [dict(zip(columns, row)) for row in rows]}
@@ -181,12 +175,12 @@ def cmd_ideal_gens(args) -> int:
 
 def cmd_height(args) -> int:
     n, k = args.n, args.k
-    caps = _caps(args)
+    max_degree = _max_degree(args)
     weights = tuple(range(1, k + 1))
     poly = parse_polynomial(args.cls, weights)
     closed = None
     if args.oriented:
-        pres = GrassmannPresentation(n, k, caps)
+        pres = GrassmannPresentation(n, k, max_degree)
         reduced = poly.substitute_zero(1)
         if poly and not reduced:
             raise ZeroClassError(
@@ -194,7 +188,7 @@ def cmd_height(args) -> int:
             )
         record = height_direct(pres.oriented(), reduced)
     else:
-        record = height_direct(SchubertRing(n, k, caps), poly)
+        record = height_direct(SchubertRing(n, k, max_degree), poly)
         if poly == Gf2Polynomial.variable(weights, 2):
             closed = closed_form_w2_height(n, k)
     marker = None
@@ -214,10 +208,10 @@ def cmd_height(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    caps = _report_caps(args)
+    max_degree = _max_degree(args)
     if _rational_undefined(args):
         return EXIT_UNDEFINED
-    reports = [_build_report(args.n, args.k, tag, args, caps) for tag in FIELDS[args.field]]
+    reports = [_build_report(args.n, args.k, tag, args, max_degree) for tag in FIELDS[args.field]]
     payload = [asdict(r) for r in reports]
     text = []
     for r in reports:
@@ -231,7 +225,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_sweep(args) -> int:
     k, n_min = args.k, args.n_min
-    caps = _report_caps(args)
+    max_degree = _max_degree(args)
     if k < 3 or n_min < 2 * k:
         raise ValueError(f"sweep range must respect n >= 2k >= 6, got k={k}, n_min={n_min}")
     if _rational_undefined(args):
@@ -241,7 +235,7 @@ def cmd_sweep(args) -> int:
     for n in range(n_min, args.n_max + 1):
         for tag in FIELDS[args.field]:
             try:
-                rows.append(_report_row(_build_report(n, k, tag, args, caps)))
+                rows.append(_report_row(_build_report(n, k, tag, args, max_degree)))
             except Exception as exc:
                 failed = True
                 message = str(exc).splitlines()[0] if str(exc) else type(exc).__name__
@@ -271,7 +265,7 @@ def cmd_verify(args) -> int:
 
 OPTIONS = {
     "--format": {"choices": ("text", "json", "csv"), "default": "text"},
-    "--max-degree": {"type": int, "default": None, "metavar": "DIM"},
+    "--max-degree": {"type": int, "default": MAX_DEGREE, "metavar": "DIM"},
     "--oriented": {"action": "store_true"},
     "--cache-dir": {"default": None},
     "--no-cache": {"action": "store_true"},

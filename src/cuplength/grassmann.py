@@ -23,18 +23,13 @@ from .gf2poly import Gf2Polynomial, ideal_gens_k3, inverse_series_components
 
 
 class SizeCapExceeded(ValueError):
-    """A computation would exceed the configured degree or basis caps."""
+    """A ring's formal dimension exceeds its max_degree, or a degree's basis exceeds MAX_BASIS."""
 
 
-@dataclass(frozen=True)
-class SizeCaps:
-    """Resource guards for ladder construction."""
-
-    max_formal_dim: int = 400
-    max_basis: int = 200000
-
-
-DEFAULT_CAPS = SizeCaps()
+# The default cap on a ring's formal dimension, and on a degree built without a top.
+MAX_DEGREE = 400
+# The most basis monomials (or partitions) of one degree; read when a degree is built.
+MAX_BASIS = 200000
 
 
 def monomial_basis(weights: tuple[int, ...], degree: int) -> list[tuple[int, ...]]:
@@ -148,11 +143,8 @@ class GradedQuotient:
     and, for a regular sequence, still checked.
     """
 
-    def __init__(
-        self, weights, generators, caps: SizeCaps = DEFAULT_CAPS, top=None, regular_name=None, ranks_only=False
-    ):
+    def __init__(self, weights, generators, top=None, regular_name=None, ranks_only=False):
         self.weights = tuple(weights)
-        self.caps = caps
         self.top = top
         self.regular_name = regular_name
         self.ranks_only = ranks_only
@@ -182,10 +174,11 @@ class GradedQuotient:
         self._sig: dict[int, list[tuple[list[int], array] | None]] = {}
 
     def extend_to(self, degree: int) -> None:
+        # A Grassmann ring's top N was checked against its max_degree; a quotient without a top stops at MAX_DEGREE.
         if self.top is not None:
             degree = min(degree, self.top)
-        if degree > self.caps.max_formal_dim:
-            raise SizeCapExceeded(f"degree {degree} exceeds cap {self.caps.max_formal_dim}")
+        elif degree > MAX_DEGREE:
+            raise SizeCapExceeded(f"degree {degree} exceeds cap {MAX_DEGREE}")
         # top is read again after each degree: the build may have learned it.
         while len(self._ranks) <= degree and not self._vanishes(len(self._ranks)):
             self._build(len(self._ranks))
@@ -197,8 +190,8 @@ class GradedQuotient:
             # Assigned from d on, so a degree the cap refused is counted again, not twice.
             counts[d:] = [below + (counts[d - w] if d >= w else 0)]
         width = self._counts[-1][d]
-        if width > self.caps.max_basis:
-            raise SizeCapExceeded(f"degree {d} basis has {width} monomials, cap {self.caps.max_basis}")
+        if width > MAX_BASIS:
+            raise SizeCapExceeded(f"degree {d} basis has {width} monomials, cap {MAX_BASIS}")
         self._add_block_tables(d)
         elim = Eliminator()
         installed = elim._piv
@@ -434,10 +427,10 @@ def check_domain(n: int, k: int) -> None:
         raise ValueError(f"need n >= 2k >= 6, got (n, k) = ({n}, {k})")
 
 
-def formal_dimension(n: int, k: int, caps: SizeCaps) -> int:
-    """N = k(n - k), refused unless n >= 2k >= 6 and N is within the cap."""
+def formal_dimension(n: int, k: int, max_degree: int = MAX_DEGREE) -> int:
+    """N = k(n - k), refused unless n >= 2k >= 6 and N <= max_degree."""
     check_domain(n, k)
-    if k * (n - k) > caps.max_formal_dim:
+    if k * (n - k) > max_degree:
         raise SizeCapExceeded(f"formal dimension {k * (n - k)} exceeds cap")
     return k * (n - k)
 
@@ -453,19 +446,19 @@ class GrassmannPresentation(GradedQuotient):
     ring only: oriented() keeps its rows.
     """
 
-    def __init__(self, n: int, k: int, caps: SizeCaps = DEFAULT_CAPS, ranks_only=False):
-        N = formal_dimension(n, k, caps)
+    def __init__(self, n: int, k: int, max_degree: int = MAX_DEGREE, ranks_only=False):
+        N = formal_dimension(n, k, max_degree)
         comps = inverse_series_components(k, n)
         gens = tuple(comps[d] for d in range(n - k + 1, n + 1))
-        self._setup(n, k, N, caps, "unoriented", tuple(range(1, k + 1)), gens, ranks_only)
+        self._setup(n, k, N, "unoriented", tuple(range(1, k + 1)), gens, ranks_only)
 
-    def _setup(self, n: int, k: int, N: int, caps: SizeCaps, context: str, weights, ideal_gens, ranks_only=False):
+    def _setup(self, n: int, k: int, N: int, context: str, weights, ideal_gens, ranks_only=False):
         self.n, self.k, self.N = n, k, N
         self.context = context
         self.ideal_gens = ideal_gens
         # Only the unoriented generators are a regular sequence (k of them in k variables).
         regular_name = f"(n, k) = ({n}, {k})" if context == "unoriented" else None
-        super().__init__(weights, ideal_gens, caps, top=N, regular_name=regular_name, ranks_only=ranks_only)
+        super().__init__(weights, ideal_gens, top=N, regular_name=regular_name, ranks_only=ranks_only)
         self._oriented: GrassmannPresentation | None = None
 
     def betti(self) -> list[int]:
@@ -481,7 +474,7 @@ class GrassmannPresentation(GradedQuotient):
         if self._oriented is None:
             gens = tuple(g.substitute_zero(1) for g in self.ideal_gens)
             ring = object.__new__(GrassmannPresentation)
-            ring._setup(self.n, self.k, self.N, self.caps, "oriented-characteristic", self.weights[1:], gens)
+            ring._setup(self.n, self.k, self.N, "oriented-characteristic", self.weights[1:], gens)
             self._oriented = ring
         return self._oriented
 

@@ -7,7 +7,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .gf2poly import Gf2Polynomial
-from .grassmann import DEFAULT_CAPS, SizeCapExceeded, SizeCaps, formal_dimension, product_degree, term_products
+from . import grassmann
+from .grassmann import SizeCapExceeded, formal_dimension, product_degree, term_products
 
 
 def _strips(mask: int, i: int, n: int) -> list[int]:
@@ -26,8 +27,8 @@ class SchubertRing:
 
     context = "unoriented"
 
-    def __init__(self, n: int, k: int, caps: SizeCaps = DEFAULT_CAPS):
-        self.n, self.k, self.caps, self.N = n, k, caps, formal_dimension(n, k, caps)
+    def __init__(self, n: int, k: int, max_degree: int = grassmann.MAX_DEGREE):
+        self.n, self.k, self.N = n, k, formal_dimension(n, k, max_degree)
         self.weights = tuple(range(1, k + 1))
         # _fewer[j][p][s]: the j-subsets of range(p) with element sum s; p - 1 is in one or not.
         self._least = k * (k - 1) // 2
@@ -59,7 +60,7 @@ class SchubertRing:
     def _shift(self, v: int, d: int, pos: int) -> int:
         """The class v of degree d times w_(pos + 1), by the Pieri rule."""
         i, s, out = pos + 1, d + self._least, 0
-        count, cap = self._counts[d + i], self.caps.max_basis
+        count, cap = self._counts[d + i], grassmann.MAX_BASIS
         if count > cap:
             raise SizeCapExceeded(f"degree {d + i} basis has {count} partitions, cap {cap}")
         # A mask reached from an even number of source columns cancels; each other one is ranked once.

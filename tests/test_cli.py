@@ -210,6 +210,33 @@ def test_sweep_cache_round_trip(tmp_path, capsys):
     assert refreshed == cold
 
 
+@pytest.mark.parametrize(
+    "argv,code,loaded",
+    [
+        (("bounds", "9", "3", "--max-degree", "10"), EXIT_USAGE, []),
+        (("sweep", "3", "6", "12", "--max-degree", "20", "--format", "csv"), EXIT_PARTIAL, [6, 7, 8, 9]),
+    ],
+)
+def test_degree_cap_refuses_a_cached_ring_as_a_cold_run_does(tmp_path, capsys, monkeypatch, argv, code, loaded):
+    cold = run(capsys, *argv)
+    assert cold[0] == code
+    if argv[0] == "bounds":
+        assert cold[1:] == ("", "size cap exceeded: formal dimension 18 exceeds cap\n")
+    else:
+        # N = 3(n - 3) exceeds 20 from n = 10 on.
+        assert [line.split(",")[4] for line in cold[1].splitlines()[-3:]] == [
+            f"error: formal dimension {N} exceeds cap" for N in (21, 24, 27)
+        ]
+    cache = str(tmp_path)
+    assert run(capsys, "sweep", "3", "6", "12", "--cache-dir", cache)[0] == EXIT_OK
+    reads = []
+    load = cli.load_record
+    monkeypatch.setattr(cli, "load_record", lambda d, n, k: reads.append(n) or load(d, n, k))
+    assert run(capsys, *argv, "--cache-dir", cache) == cold
+    # The cap is checked before the cache: a refused ring's record is never read.
+    assert reads == loaded
+
+
 @pytest.mark.parametrize("kind", ["missing", "regular file"])
 def test_unusable_cache_dir_refused_before_any_work(tmp_path, capsys, kind):
     cache = str(tmp_path / "cache")

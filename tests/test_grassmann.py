@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuplength import grassmann
 from cuplength.bounds import summarize_oriented
 from cuplength.gf2poly import Gf2Polynomial
 from cuplength.grassmann import (
     GrassmannPresentation,
     OrientedSummary,
     SizeCapExceeded,
-    SizeCaps,
     k3_reduced_membership,
     k3_reduced_quotient,
     load_record,
@@ -204,23 +204,34 @@ def test_vector_search_matches_polynomial_oracle(n, k):
 
 
 def test_size_caps_enforced():
-    with pytest.raises(SizeCapExceeded):
-        GrassmannPresentation(30, 5, SizeCaps(max_formal_dim=100, max_basis=200000))
+    with pytest.raises(SizeCapExceeded, match=r"^formal dimension 125 exceeds cap$"):
+        GrassmannPresentation(30, 5, 100)
 
 
-def test_max_basis_refuses_a_wider_degree_and_keeps_the_lower_ones():
+def test_degree_cap_refuses_a_quotient_without_a_top_only(monkeypatch):
+    monkeypatch.setattr(grassmann, "MAX_DEGREE", 10)
+    quotient = k3_reduced_quotient(9)
+    with pytest.raises(SizeCapExceeded, match=r"^degree 11 exceeds cap 10$"):
+        quotient.dim(11)
+    # A Grassmann ring is capped by its own max_degree, checked once on N; its top bounds every build.
+    assert sum(GrassmannPresentation(9, 3, 18).betti()) == math.comb(9, 3)
+
+
+def test_max_basis_refuses_a_wider_degree_and_keeps_the_lower_ones(monkeypatch):
     width = len(monomial_basis((1, 2, 3, 4), 12))
     uncapped = GrassmannPresentation(10, 4).betti()
-    at_cap = GrassmannPresentation(10, 4, SizeCaps(max_basis=width))
+    monkeypatch.setattr(grassmann, "MAX_BASIS", width)
+    at_cap = GrassmannPresentation(10, 4)
     assert [at_cap.dim(d) for d in range(13)] == uncapped[:13]
-    below = GrassmannPresentation(10, 4, SizeCaps(max_basis=width - 1))
+    monkeypatch.setattr(grassmann, "MAX_BASIS", width - 1)
+    below = GrassmannPresentation(10, 4)
     for _ in range(2):
         with pytest.raises(SizeCapExceeded) as refused:
             below.dim(12)
         assert str(refused.value) == f"degree 12 basis has {width} monomials, cap {width - 1}"
     assert [below.dim(d) for d in range(12)] == uncapped[:12]
     # A refused degree leaves nothing half built: with the cap lifted, the ring completes.
-    below.caps = SizeCaps()
+    monkeypatch.undo()
     assert below.betti() == uncapped
 
 

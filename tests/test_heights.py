@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuplength.gf2poly import Gf2Polynomial
-from cuplength.grassmann import GrassmannPresentation, SizeCaps, monomial_basis
+from cuplength.grassmann import GrassmannPresentation, monomial_basis
 from cuplength.heights import (
     ZeroClassError,
     closed_form_w2_height,
@@ -149,11 +149,12 @@ def test_zero_class_raises():
 
 
 def test_class_above_formal_dimension_is_zero_without_a_ladder():
-    # The degree cap equals the formal dimension 18, so building degree 20 would raise SizeCapExceeded.
-    pres = GrassmannPresentation(9, 3, SizeCaps(max_formal_dim=18))
+    # w2^10 has degree 20, above N = 18, so both rings know it is zero without building a degree.
+    pres = GrassmannPresentation(9, 3)
     for ctx in (pres, pres.oriented()):
         with pytest.raises(ZeroClassError):
             height_direct(ctx, w2(ctx.weights) ** 10)
+        assert ctx._ranks == []
 
 
 def test_height_requires_homogeneous_positive_degree():

@@ -25,7 +25,6 @@ from cuplength.grassmann import (
     GradedQuotient,
     GrassmannPresentation,
     SizeCapExceeded,
-    SizeCaps,
     k3_reduced_quotient,
     longest_monomial_product,
     monomial_basis,
@@ -254,16 +253,18 @@ def test_reads_above_the_learned_top_are_zero_and_build_nothing(monkeypatch, fir
     assert (len(ctx._elims), [len(c) for c in ctx._counts], len(ctx._blocks)) == built
 
 
-def test_basis_cap_between_the_stopped_ladder_and_the_formal_dimension():
+def test_basis_cap_between_the_stopped_ladder_and_the_formal_dimension(monkeypatch):
     # The oriented (16, 7) ladder stops after degree 48 + max(weights) = 55, short of N = 63, so a
     # basis cap wider than every degree it builds but narrower than degree N no longer refuses it.
     ctx = GrassmannPresentation(16, 7).oriented()
     expected = ctx.betti()
     built = max(len(monomial_basis(ctx.weights, d)) for d in range(ctx.top + max(ctx.weights) + 1))
     assert built < len(monomial_basis(ctx.weights, ctx.N))
-    capped = GrassmannPresentation(16, 7, SizeCaps(max_basis=built)).oriented()
+    monkeypatch.setattr(grassmann, "MAX_BASIS", built)
+    capped = GrassmannPresentation(16, 7).oriented()
     assert capped.betti() == expected
-    below = GrassmannPresentation(16, 7, SizeCaps(max_basis=built - 1)).oriented()
+    monkeypatch.setattr(grassmann, "MAX_BASIS", built - 1)
+    below = GrassmannPresentation(16, 7).oriented()
     with pytest.raises(SizeCapExceeded):
         below.betti()
 

@@ -6,7 +6,8 @@ from itertools import product
 import pytest
 
 from cuplength.gf2poly import Gf2Polynomial
-from cuplength.grassmann import GrassmannPresentation, SizeCapExceeded, SizeCaps, monomial_basis
+from cuplength import grassmann
+from cuplength.grassmann import GrassmannPresentation, SizeCapExceeded, monomial_basis
 from cuplength.heights import ZeroClassError, height_direct
 from cuplength.schubert import SchubertRing
 
@@ -164,13 +165,14 @@ def test_each_image_is_ranked_once_per_shift(monkeypatch):
     assert len(calls["rank"]) == len(set(calls["rank"]))
 
 
-def test_caps():
+def test_caps(monkeypatch):
     with pytest.raises(SizeCapExceeded, match=r"^formal dimension 18 exceeds cap$"):
-        SchubertRing(9, 3, SizeCaps(max_formal_dim=10))
+        SchubertRing(9, 3, 10)
     with pytest.raises(ValueError, match=r"need n >= 2k >= 6"):
         SchubertRing(5, 3)
     # Degrees 0..5 of the 4 x 6 box hold 1, 1, 2, 3, 5 and 6 partitions.
-    ring = SchubertRing(10, 4, SizeCaps(max_basis=5))
+    monkeypatch.setattr(grassmann, "MAX_BASIS", 5)
+    ring = SchubertRing(10, 4)
     w1 = Gf2Polynomial.variable(ring.weights, 1)
     assert ring.times(1, 0, w1**4)
     with pytest.raises(SizeCapExceeded, match=r"^degree 5 basis has 6 partitions, cap 5$"):
