@@ -69,8 +69,7 @@ def _shifted(u: int, starts, targets, low: int, out: int) -> int:
     columns from targets[i] on.  Each step takes the bits of u from the start
     of the run that holds its highest set bit, moves them together and clears
     them, so only runs that hold a bit are visited.  out must not exceed the
-    image of the lowest set bit; the ladder passes exactly that image, its
-    predicted pivot, and _shift passes low = out = 0.
+    image of the lowest set bit; _shift passes low = out = 0.
     """
     image = 0
     while u:
@@ -134,7 +133,10 @@ class GradedQuotient:
     the pivot of x_i times a row is the image of the row's pivot, since run
     tables preserve order.  So a row of the last variable's one-run table is
     the source row object itself, shared by both degrees, with only its
-    pivot moved.  A row is kept in _sig only if a degree up to top reads it.
+    pivot moved.  A row whose pivot is free is stored there directly, as
+    Eliminator.add would store it; only a row whose pivot is taken goes
+    through add, and so does every row that reduces to zero.  A row is kept
+    in _sig only if a degree up to top reads it.
 
     ranks_only keeps of a built degree only its rank: its rows live on in
     _sig while a later degree may shift them, and no eliminator is kept, so
@@ -194,8 +196,19 @@ class GradedQuotient:
             raise SizeCapExceeded(f"degree {d} basis has {width} monomials, cap {MAX_BASIS}")
         self._add_block_tables(d)
         elim = Eliminator()
-        installed = elim._piv
+        piv = elim._piv
         owner = bytearray(width)
+
+        def taken(u: int, p: int, j: int) -> tuple[int, int]:
+            """Add a row whose pivot p is taken: the row and pivot installed, or (0, 0) if it reduced to zero."""
+            q = elim.add(u, p)
+            if not q and self.regular_name is not None:
+                raise RuntimeError(
+                    f"ring {self.regular_name}: a row of degree {d} from generator index {j} "
+                    "reduced to zero, so the generators are not a regular sequence"
+                )
+            return (piv[q - 1], q - 1) if q else (0, 0)
+
         # A row whose t ends in x_p is first read in degree d + min(weights[p:]),
         # which grows with p; the window keeps the columns of the t in x_0..x_last,
         # the variables whose rows some degree up to top reads.
@@ -209,23 +222,69 @@ class GradedQuotient:
             keep = self._counts[last][te] if last >= 0 else 0
             rows, pivots = [0] * keep, array("I", [0]) * keep
             sig.append((rows, pivots))
+            mark = j + 1
+            # Batches in increasing signature order: (column of t, source row, source pivot)
+            # from the highest t down, and the run table of x_pos, t's last variable.  x_pos
+            # maps the first columns of degree te - w_pos onto those of t, from offset on, in
+            # order.  te = 0 is the generator itself, one row, unshifted.
             if te == 0:
                 v = self._vectorize(g, d)
                 p = (v & -v).bit_length() - 1
-                todo = [(0, v >> p, p)]
+                owner_t, batches = b"\0", [([(0, v >> p, p)], (0,), (0,))]
             else:
-                todo = self._signature_rows(d, j, te)
-            for tc, u, p in todo:
-                q = elim.add(u, p)
-                if q:
-                    owner[q - 1] = j + 1
-                    if tc < keep:
-                        rows[tc], pivots[tc] = installed[q - 1], q - 1
-                elif self.regular_name is not None:
-                    raise RuntimeError(
-                        f"ring {self.regular_name}: a row of degree {d} from generator index {j} "
-                        "reduced to zero, so the generators are not a regular sequence"
-                    )
+                owner_t, batches = self._owner[te], []
+                for pos in range(len(self.weights) - 1, -1, -1):
+                    w = self.weights[pos]
+                    if te >= w:
+                        source, spivots = self._sig[d - w][j]
+                        n, offset = self._counts[pos][te - w], self._counts[pos - 1][te] if pos else 0
+                        todo = zip(range(offset + n - 1, offset - 1, -1), reversed(source[:n]), reversed(spivots[:n]))
+                        batches.append((todo, *self._blocks[d - w, pos]))
+            # A zero source (skipped, or reduced to zero) has only multiples that would reduce to zero.
+            for todo, starts, targets in batches:
+                if len(starts) == 1:
+                    # One run (the last variable's, always): the row object stays, its pivot moves.
+                    lone = targets[0]
+                    for tc, u, sp in todo:
+                        if u and not 0 < owner_t[tc] <= j:
+                            p = sp + lone
+                            if p in piv:
+                                u, p = taken(u, p, j)
+                                if not u:
+                                    continue
+                            else:
+                                piv[p] = u
+                            owner[p] = mark
+                            if tc < keep:
+                                rows[tc], pivots[tc] = u, p
+                    continue
+                # Lists, since bisect boxes an array item on every probe.
+                starts, targets = list(starts), list(targets)
+                for tc, u, sp in todo:
+                    if u and not 0 < owner_t[tc] <= j:
+                        i = bisect_right(starts, sp) - 1
+                        p = sp - starts[i] + targets[i]
+                        # As _shifted: move the bits above the pivot's run one run at a
+                        # time, highest first; the pivot's own run keeps its place in u.
+                        image = 0
+                        h = bisect_right(starts, u.bit_length() - 1 + sp, i) - 1
+                        while h > i:
+                            s = starts[h] - sp
+                            image |= u >> s << targets[h] - p
+                            u &= (1 << s) - 1
+                            h = bisect_right(starts, u.bit_length() - 1 + sp, i, h) - 1
+                        u |= image
+                        if p in piv:
+                            u, p = taken(u, p, j)
+                            if not u:
+                                continue
+                        else:
+                            piv[p] = u
+                        owner[p] = mark
+                        if tc < keep:
+                            rows[tc], pivots[tc] = u, p
+        # Direct stores leave the pivot mask stale; an eliminator without rows keeps 0.
+        elim._mask = None if piv else 0
         self._ranks.append(elim.rank)
         if not self.ranks_only:
             self._elims.append(elim)
@@ -273,41 +332,6 @@ class GradedQuotient:
         if d >= weights[0]:
             level = min(1, len(weights) - 1)
             self._blocks[d - weights[0], 0] = _runs(rests, counts[level], weights[0], head=level == 1)
-
-    def _signature_rows(self, d: int, j: int, te: int):
-        """(column of t, row, pivot) for the signatures (t, j) of degree d, in increasing signature order.
-
-        Each row comes shifted down to its pivot, the image of its source
-        row's pivot.  The t whose last variable is x_pos fill the columns from
-        counts[pos - 1][te] up to counts[pos][te], and x_pos maps the
-        monomials of degree te - w_pos in the variables up to x_pos, the
-        first columns of that degree, onto them in order.  So going down pos,
-        then down the source column, visits t from its highest column down.
-        A zero entry in the source (skipped, or reduced to zero) has only
-        multiples that would reduce to zero as well, so it yields nothing.
-        """
-        owner = self._owner[te]
-        for pos in range(len(self.weights) - 1, -1, -1):
-            w = self.weights[pos]
-            if te < w:
-                continue
-            rows, pivots = self._sig[d - w][j]
-            offset = self._counts[pos - 1][te] if pos else 0
-            starts, targets = self._blocks[d - w, pos]
-            # A table of one run (the last variable's, always) moves every row
-            # by targets[0]: the row stays as it is and only its pivot moves.
-            lone = targets[0] if len(starts) == 1 else None
-            for c in range(self._counts[pos][te - w] - 1, -1, -1):
-                u = rows[c]
-                if u and not 0 < owner[c + offset] <= j:
-                    sp = pivots[c]
-                    if lone is not None:
-                        yield c + offset, u, sp + lone
-                    else:
-                        # Run tables preserve order: the pivot lands where its run sends it.
-                        i = bisect_right(starts, sp) - 1
-                        p = sp - starts[i] + targets[i]
-                        yield c + offset, _shifted(u, starts, targets, sp, p), p
 
     def _shift(self, v: int, degree: int, pos: int) -> int:
         """The vector v of the given degree times the variable at pos."""

@@ -3,13 +3,16 @@
 Both build degree d of the ideal; a subspace has exactly one reduced echelon
 form, so equal spans mean equal reduced echelon forms.  The grid below asserts
 that, with both forms computed by this file's own Gauss-Jordan elimination,
-not by Eliminator.  The regularity check and the zero-row bookkeeping of
+not by Eliminator.  Golden digests pin the exact rows, owners and ranks of
+a few ladders, and every installed row must reduce to zero where it was
+installed.  The regularity check and the zero-row bookkeeping of
 non-regular generator lists are pinned here too, and so is the pruned
 longest-product search against the unpruned walk, and what a ranks-only
 ladder keeps and refuses.  CI also runs this file under python -O, where an
 assert-based check would vanish.
 """
 
+import hashlib
 import random
 import tracemalloc
 import weakref
@@ -487,3 +490,62 @@ def test_ranks_only_ladder_peaks_well_below_the_full_ladder():
     full = traced_peak(lambda: GrassmannPresentation(16, 5).betti())
     ranks_only = traced_peak(lambda: GrassmannPresentation(16, 5, ranks_only=True).betti())
     assert ranks_only < 0.6 * full
+
+
+def ladder_digest(quotient) -> str:
+    """sha256 over every built degree's rank, installed rows {p: u << p} and owner bytes."""
+    h = hashlib.sha256()
+    for d, (rank, elim, owner) in enumerate(zip(quotient._ranks, quotient._elims, quotient._owner)):
+        rows = installed_rows(elim)
+        h.update(f"{d} {rank} {len(rows)}\n".encode())
+        for p in sorted(rows):
+            h.update(f"{p} {rows[p]:x}\n".encode())
+        h.update(bytes(owner))
+    return h.hexdigest()
+
+
+LADDERS = {
+    "unoriented (9, 3)": (lambda: GrassmannPresentation(9, 3), 18),
+    "unoriented (13, 6)": (lambda: GrassmannPresentation(13, 6), 42),
+    "unoriented (16, 5)": (lambda: GrassmannPresentation(16, 5), 55),
+    "oriented (16, 7)": (lambda: GrassmannPresentation(16, 7).oriented(), 63),
+    "w1-adjoined (10, 4)": (lambda: w1_adjoined_quotient(10, 4), 24),
+    "k3 closed form n = 12": (lambda: k3_reduced_quotient(12), 27),
+}
+
+# Digests of the ladder as built before rows at free pivots were stored
+# directly: the same rows, pivots, owners and ranks, degree by degree.
+GOLDEN_DIGESTS = {
+    "unoriented (13, 6)": "58681963a35c1a5ba3451bb82100862d95c5d429b73c6eba35d3371dfa6aa561",
+    "unoriented (16, 5)": "9c4540fbe9629ebed43e5bd0c5fa8c75ebc27f4e451c772f49637efccba16039",
+    "oriented (16, 7)": "d99cd14628afd73f07dce89a85b5e59a64feb687cdb4aaba8a21f35c9aa3ceab",
+    "w1-adjoined (10, 4)": "0b9c5b1fe58df862a1b1f9b834abc6268715b4fe80318beffc2d5d2e168d923c",
+    "k3 closed form n = 12": "d3fc48f0b6c537fe19afea72a2615f5b226d2ecc67e8ca5bb714792db1262579",
+}
+
+
+def built_ladder(name: str):
+    make, top = LADDERS[name]
+    quotient = make()
+    quotient.extend_to(top)
+    return quotient
+
+
+@pytest.mark.parametrize("name", GOLDEN_DIGESTS)
+def test_ladder_rows_owners_and_ranks_match_golden_digests(name):
+    quotient = built_ladder(name)
+    assert len(quotient._elims) == len(quotient._owner) == len(quotient._ranks) > 1
+    assert ladder_digest(quotient) == GOLDEN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["unoriented (9, 3)", "oriented (16, 7)", "w1-adjoined (10, 4)", "k3 closed form n = 12"])
+def test_every_installed_row_reduces_to_zero_on_every_built_degree(name):
+    quotient = built_ladder(name)
+    # Degree 0 and the degrees below the first generator install no row; a read there reduces nothing.
+    assert not quotient._elims[0]._piv
+    for d, elim in enumerate(quotient._elims):
+        assert len(elim._piv) == quotient._ranks[d]
+        for p, row in installed_rows(elim).items():
+            assert elim.reduce(row) == 0, (d, p)
+        if not elim._piv:
+            assert elim.reduce(1) == 1
