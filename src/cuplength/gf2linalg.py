@@ -10,14 +10,17 @@ class Eliminator:
 
     A row is stored shifted down to its pivot p, its lowest set bit: the row
     v is kept as p -> v >> p, an odd integer, so it costs only the bits from
-    its pivot up, and the caller may hand in a row object it keeps elsewhere."""
+    its pivot up, and the caller may hand in a row object it keeps elsewhere.
+    A caller that knows p is free may store p -> u into _piv itself, as add
+    would: rows are only ever added, so reads rebuild their pivot mask
+    whenever _piv has grown."""
 
-    __slots__ = ("_piv", "_mask")
+    __slots__ = ("_piv", "_mask", "_masked")
 
     def __init__(self):
         self._piv: dict[int, int] = {}
-        # Bit p set for each pivot p; None until the first read after an add.
-        self._mask: int | None = 0
+        # Bit p set for each pivot p, built when _piv held _masked rows.
+        self._mask = self._masked = 0
 
     @property
     def rank(self) -> int:
@@ -30,7 +33,6 @@ class Eliminator:
             r = piv.get(p)
             if r is None:
                 piv[p] = u
-                self._mask = None
                 return p + 1
             u ^= r
             if not u:
@@ -44,13 +46,13 @@ class Eliminator:
         with no pivot bit (a nonzero sum of rows keeps the lowest of their pivots).
         Each xor clears the lowest hit and sets bits only above it, so the loop ends."""
         piv = self._piv
-        mask = self._mask
-        if mask is None:
+        if self._masked != len(piv):
             # One digit per column up to the highest pivot, read as a binary numeral.
             digits = bytearray(b"0") * (max(piv) + 1)
             for p in piv:
                 digits[p] = 49  # ord("1")
-            mask = self._mask = int(digits[::-1], 2)
+            self._mask, self._masked = int(digits[::-1], 2), len(piv)
+        mask = self._mask
         hits = v & mask
         while hits:
             p = (hits & -hits).bit_length() - 1

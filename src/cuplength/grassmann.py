@@ -69,11 +69,13 @@ def _shifted(u: int, starts, targets, low: int, out: int) -> int:
     columns from targets[i] on.  Each step takes the bits of u from the start
     of the run that holds its highest set bit, moves them together and clears
     them, so only runs that hold a bit are visited.  out must not exceed the
-    image of the lowest set bit; _shift passes low = out = 0.
+    image of the lowest set bit; the ladder passes exactly that image, its
+    predicted pivot, and _shift passes low = out = 0.
     """
-    image = 0
+    image, i = 0, len(starts)
     while u:
-        i = bisect_right(starts, u.bit_length() - 1 + low) - 1
+        # Bits left lie below the last run visited.
+        i = bisect_right(starts, u.bit_length() - 1 + low, 0, i) - 1
         s = starts[i] - low
         if s <= 0:
             # The run holds every bit left, the lowest too.
@@ -223,57 +225,40 @@ class GradedQuotient:
             rows, pivots = [0] * keep, array("I", [0]) * keep
             sig.append((rows, pivots))
             mark = j + 1
-            # Batches in increasing signature order: (column of t, source row, source pivot)
-            # from the highest t down, and the run table of x_pos, t's last variable.  x_pos
-            # maps the first columns of degree te - w_pos onto those of t, from offset on, in
-            # order.  te = 0 is the generator itself, one row, unshifted.
+            # Batches in increasing signature order: the source rows and pivots, how many
+            # of them x_pos maps onto the t ending in x_pos (their first columns, in order,
+            # onto those of t from offset on), and x_pos's run table.  Going down pos, then
+            # down the source column, visits t from its highest column down.  te = 0 is the
+            # generator itself, one row, unshifted.
             if te == 0:
                 v = self._vectorize(g, d)
                 p = (v & -v).bit_length() - 1
-                owner_t, batches = b"\0", [([(0, v >> p, p)], (0,), (0,))]
+                owner_t, batches = b"\0", [([v >> p], [p], 1, 0, (0,), (0,))]
             else:
                 owner_t, batches = self._owner[te], []
                 for pos in range(len(self.weights) - 1, -1, -1):
                     w = self.weights[pos]
                     if te >= w:
-                        source, spivots = self._sig[d - w][j]
                         n, offset = self._counts[pos][te - w], self._counts[pos - 1][te] if pos else 0
-                        todo = zip(range(offset + n - 1, offset - 1, -1), reversed(source[:n]), reversed(spivots[:n]))
-                        batches.append((todo, *self._blocks[d - w, pos]))
-            # A zero source (skipped, or reduced to zero) has only multiples that would reduce to zero.
-            for todo, starts, targets in batches:
-                if len(starts) == 1:
-                    # One run (the last variable's, always): the row object stays, its pivot moves.
-                    lone = targets[0]
-                    for tc, u, sp in todo:
-                        if u and not 0 < owner_t[tc] <= j:
-                            p = sp + lone
-                            if p in piv:
-                                u, p = taken(u, p, j)
-                                if not u:
-                                    continue
-                            else:
-                                piv[p] = u
-                            owner[p] = mark
-                            if tc < keep:
-                                rows[tc], pivots[tc] = u, p
-                    continue
-                # Lists, since bisect boxes an array item on every probe.
+                        batches.append((*self._sig[d - w][j], n, offset, *self._blocks[d - w, pos]))
+            for source, spivots, n, offset, starts, targets in batches:
+                # A table of one run (the last variable's, always) moves every row by
+                # targets[0]: the row object stays as it is and only its pivot moves.
+                lone = targets[0] if len(starts) == 1 else None
+                # Lists, since bisect on an array boxes the item it reads at every probe.
                 starts, targets = list(starts), list(targets)
-                for tc, u, sp in todo:
+                for c in range(n - 1, -1, -1):
+                    u, tc = source[c], c + offset
+                    # A zero source (skipped, or reduced to zero) has only multiples that would reduce to zero.
                     if u and not 0 < owner_t[tc] <= j:
-                        i = bisect_right(starts, sp) - 1
-                        p = sp - starts[i] + targets[i]
-                        # As _shifted: move the bits above the pivot's run one run at a
-                        # time, highest first; the pivot's own run keeps its place in u.
-                        image = 0
-                        h = bisect_right(starts, u.bit_length() - 1 + sp, i) - 1
-                        while h > i:
-                            s = starts[h] - sp
-                            image |= u >> s << targets[h] - p
-                            u &= (1 << s) - 1
-                            h = bisect_right(starts, u.bit_length() - 1 + sp, i, h) - 1
-                        u |= image
+                        sp = spivots[c]
+                        if lone is not None:
+                            p = sp + lone
+                        else:
+                            # Run tables preserve order: the pivot lands where its run sends it.
+                            i = bisect_right(starts, sp) - 1
+                            p = sp - starts[i] + targets[i]
+                            u = _shifted(u, starts, targets, sp, p)
                         if p in piv:
                             u, p = taken(u, p, j)
                             if not u:
@@ -283,8 +268,6 @@ class GradedQuotient:
                         owner[p] = mark
                         if tc < keep:
                             rows[tc], pivots[tc] = u, p
-        # Direct stores leave the pivot mask stale; an eliminator without rows keeps 0.
-        elim._mask = None if piv else 0
         self._ranks.append(elim.rank)
         if not self.ranks_only:
             self._elims.append(elim)

@@ -200,3 +200,23 @@ def test_reads_between_adds_leave_no_hidden_state():
                 read.finalize()
             assert add_row(read, v) == add_row(unread, v), f"trial {trial}"
         assert read._piv == unread._piv, f"trial {trial}"
+
+
+@settings(max_examples=80)
+@given(st.lists(st.integers(1, 2**16 - 1), max_size=12), st.lists(st.integers(0, 2**16 - 1), max_size=6))
+def test_rows_stored_straight_into_free_pivots_are_seen_by_the_next_read(rows, probes):
+    # A caller may store an odd row at a free pivot without add; reads made
+    # before and after each store must see exactly the rows stored so far.
+    elim = Eliminator()
+    assert elim.reduce(0b1) == 0b1
+    for r in rows:
+        p = (r & -r).bit_length() - 1
+        if p not in elim._piv:
+            elim.reduce(r)
+            elim._piv[p] = r >> p
+        stored = list(installed_rows(elim).values())
+        for v in probes + [r]:
+            w = elim.reduce(v)
+            # The normal form: no bit in a pivot column, and v - w in the span.
+            assert not any(w >> q & 1 for q in elim._piv)
+            assert naive_rank(stored + [v ^ w]) == len(stored)
