@@ -201,16 +201,6 @@ class GradedQuotient:
         piv = elim._piv
         owner = bytearray(width)
 
-        def taken(u: int, p: int, j: int) -> tuple[int, int]:
-            """Add a row whose pivot p is taken: the row and pivot installed, or (0, 0) if it reduced to zero."""
-            q = elim.add(u, p)
-            if not q and self.regular_name is not None:
-                raise RuntimeError(
-                    f"ring {self.regular_name}: a row of degree {d} from generator index {j} "
-                    "reduced to zero, so the generators are not a regular sequence"
-                )
-            return (piv[q - 1], q - 1) if q else (0, 0)
-
         # A row whose t ends in x_p is first read in degree d + min(weights[p:]),
         # which grows with p; the window keeps the columns of the t in x_0..x_last,
         # the variables whose rows some degree up to top reads.
@@ -260,9 +250,16 @@ class GradedQuotient:
                             p = sp - starts[i] + targets[i]
                             u = _shifted(u, starts, targets, sp, p)
                         if p in piv:
-                            u, p = taken(u, p, j)
-                            if not u:
+                            # Only here can a row reduce to zero.
+                            q = elim.add(u, p)
+                            if not q:
+                                if self.regular_name is not None:
+                                    raise RuntimeError(
+                                        f"ring {self.regular_name}: a row of degree {d} from generator index {j} "
+                                        "reduced to zero, so the generators are not a regular sequence"
+                                    )
                                 continue
+                            u, p = piv[q - 1], q - 1
                         else:
                             piv[p] = u
                         owner[p] = mark
