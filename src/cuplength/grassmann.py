@@ -26,7 +26,7 @@ class SizeCapExceeded(ValueError):
     """A ring's formal dimension exceeds its max_degree, or a degree's basis exceeds MAX_BASIS."""
 
 
-# The default cap on a ring's formal dimension, and on a degree built without a top.
+# The default cap on a ring's formal dimension, the top every quotient is built to.
 MAX_DEGREE = 400
 # The most basis monomials (or partitions) of one degree; read when a degree is built.
 MAX_BASIS = 200000
@@ -122,10 +122,11 @@ class GradedQuotient:
     signature whose t is a leading term of (g_1..g_{j-1}) is skipped, since
     its row would reduce to zero; for a regular sequence no other row does,
     and regular_name (the ring's name, for the message) turns that into a
-    check.  The quotient vanishes above top, given or learned: once degrees
-    D..D+m-1, m = max(weights), all have dimension 0, the run is dropped and
-    top becomes D - 1, since a monomial of degree d > D+m-1 is x_i times one
-    of degree d - w_i in [D, d - 1], zero by induction on d.
+    check.  The quotient vanishes above top, given (a formal dimension) and
+    lowered when learned: once degrees D..D+m-1, m = max(weights), all have
+    dimension 0, the run is dropped and top becomes D - 1, since a monomial
+    of degree d > D+m-1 is x_i times one of degree d - w_i in [D, d - 1],
+    zero by induction on d.
 
     A column is known only by counting: column c of degree d is the monomial
     with c monomials of degree d before it in the canonical order, so ranks,
@@ -147,7 +148,7 @@ class GradedQuotient:
     and, for a regular sequence, still checked.
     """
 
-    def __init__(self, weights, generators, top=None, regular_name=None, ranks_only=False):
+    def __init__(self, weights, generators, top, regular_name=None, ranks_only=False):
         self.weights = tuple(weights)
         self.top = top
         self.regular_name = regular_name
@@ -178,12 +179,7 @@ class GradedQuotient:
         self._sig: dict[int, list[tuple[list[int], array] | None]] = {}
 
     def extend_to(self, degree: int) -> None:
-        # A Grassmann ring's top N was checked against its max_degree; a quotient without a top stops at MAX_DEGREE.
-        if self.top is not None:
-            degree = min(degree, self.top)
-        elif degree > MAX_DEGREE:
-            raise SizeCapExceeded(f"degree {degree} exceeds cap {MAX_DEGREE}")
-        # top is read again after each degree: the build may have learned it.
+        # Never past top, read again after each degree: the build may have learned it.
         while len(self._ranks) <= degree and not self._vanishes(len(self._ranks)):
             self._build(len(self._ranks))
 
@@ -204,7 +200,7 @@ class GradedQuotient:
         # A row whose t ends in x_p is first read in degree d + min(weights[p:]),
         # which grows with p; the window keeps the columns of the t in x_0..x_last,
         # the variables whose rows some degree up to top reads.
-        last = sum(self.top is None or d + min(self.weights[p:]) <= self.top for p in range(len(self.weights))) - 1
+        last = sum(d + min(self.weights[p:]) <= self.top for p in range(len(self.weights))) - 1
         sig: list[tuple[list[int], array] | None] = []
         for j, (g, dg) in enumerate(zip(self.generators, self._gen_degrees)):
             te = d - dg
@@ -355,7 +351,7 @@ class GradedQuotient:
         return Gf2Polynomial(weights, terms)
 
     def _vanishes(self, degree: int) -> bool:
-        return degree < 0 or (self.top is not None and degree > self.top)
+        return not 0 <= degree <= self.top
 
     def _need_rows(self, what: str) -> None:
         if self.ranks_only:
@@ -452,8 +448,7 @@ class GrassmannPresentation(GradedQuotient):
 
     def __init__(self, n: int, k: int, max_degree: int = MAX_DEGREE, ranks_only=False):
         N = formal_dimension(n, k, max_degree)
-        comps = inverse_series_components(k, n)
-        gens = tuple(comps[d] for d in range(n - k + 1, n + 1))
+        gens = tuple(inverse_series_components(k, n)[n - k + 1 :])
         self._setup(n, k, N, "unoriented", tuple(range(1, k + 1)), gens, ranks_only)
 
     def _setup(self, n: int, k: int, N: int, context: str, weights, ideal_gens, ranks_only=False):
@@ -484,8 +479,9 @@ class GrassmannPresentation(GradedQuotient):
 
 
 def k3_reduced_quotient(n: int) -> GradedQuotient:
-    """Z2[w2,w3] modulo the closed-form three-plane generators."""
-    return GradedQuotient((2, 3), ideal_gens_k3(n))
+    """Z2[w2,w3] modulo the closed-form three-plane generators, built to N = 3(n - 3)."""
+    N = formal_dimension(n, 3)
+    return GradedQuotient((2, 3), ideal_gens_k3(n), N)
 
 
 def k3_reduced_membership(n: int, x: Gf2Polynomial) -> bool:
@@ -501,11 +497,10 @@ def _last_k3_quotient(n: int) -> GradedQuotient:
 
 def w1_adjoined_quotient(n: int, k: int) -> GradedQuotient:
     """Full-ring quotient by the presentation ideal plus (w1), a second route to the oriented reduction."""
+    N = formal_dimension(n, k)
     weights = tuple(range(1, k + 1))
-    comps = inverse_series_components(k, n)
-    gens = [comps[d] for d in range(n - k + 1, n + 1)]
-    gens.append(Gf2Polynomial.variable(weights, 1))
-    return GradedQuotient(weights, gens)
+    gens = inverse_series_components(k, n)[n - k + 1 :] + [Gf2Polynomial.variable(weights, 1)]
+    return GradedQuotient(weights, gens, N)
 
 
 def longest_monomial_product(ctx: GrassmannPresentation) -> tuple[tuple[int, ...], int, int]:

@@ -62,6 +62,29 @@ def add_row(elim: Eliminator, v: int) -> int:
     return elim.add(v >> p, p)
 
 
+def naive_rank(rows: list[int]) -> int:
+    """Textbook elimination with per-column scans, no pivot bookkeeping."""
+    rows = [r for r in rows if r]
+    count = 0
+    while rows:
+        pivot_row = rows[0]
+        pivot_bit = pivot_row & -pivot_row
+        count += 1
+        rows = [r ^ pivot_row if r & pivot_bit else r for r in rows[1:]]
+        rows = [r for r in rows if r]
+    return count
+
+
+def shift_bits(v: int, mapping: list[int]) -> int:
+    """The per-bit loop: bit j moves to bit mapping[j]."""
+    out = 0
+    while v:
+        low = v & -v
+        out |= 1 << mapping[low.bit_length() - 1]
+        v ^= low
+    return out
+
+
 def installed_rows(elim: Eliminator) -> dict[int, int]:
     """The rows of an Eliminator in place, pivot -> row."""
     return {p: u << p for p, u in elim._piv.items()}

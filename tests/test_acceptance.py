@@ -20,7 +20,7 @@ from cuplength.gf2poly import Gf2Polynomial
 from cuplength.grassmann import GrassmannPresentation
 from cuplength.heights import closed_form_w2_height, height_direct
 
-from conftest import add_row, record_criterion
+from conftest import add_row, naive_rank, record_criterion
 
 HEIGHT_GRID = (
     [(n, 3) for n in range(6, 41)]
@@ -210,15 +210,3 @@ def test_criterion_11_linear_algebra_oracles():
             add_row(elim, r)
         ok = ok and elim.rank == naive
     finish(11, ok)
-
-
-def naive_rank(rows: list[int]) -> int:
-    rows = [r for r in rows if r]
-    count = 0
-    while rows:
-        pivot_row = rows[0]
-        pivot_bit = pivot_row & -pivot_row
-        count += 1
-        rows = [r ^ pivot_row if r & pivot_bit else r for r in rows[1:]]
-        rows = [r for r in rows if r]
-    return count

@@ -27,6 +27,8 @@ from cuplength.grassmann import (
     w1_adjoined_quotient,
 )
 
+from conftest import shift_bits
+
 # Tables are checked for every source degree d and variable x_p with d + w_p <= TOP.
 # A ring drops its tables into degrees above its top once it learns it, so
 # no ring here may learn a top below TOP.
@@ -39,18 +41,8 @@ QUOTIENTS = {
     "oriented (2, ..., 6)": lambda: GrassmannPresentation(12, 6).oriented(),
     "w1-adjoined (1, ..., 4)": lambda: w1_adjoined_quotient(12, 4),
     "closed form (2, 3)": lambda: k3_reduced_quotient(12),
-    "single variable (2,)": lambda: GradedQuotient((2,), [Gf2Polynomial((2,), [(9,)])]),
+    "single variable (2,)": lambda: GradedQuotient((2,), [Gf2Polynomial((2,), [(9,)])], TOP),
 }
-
-
-def shift_bits(v: int, mapping) -> int:
-    """The per-bit loop: bit j moves to bit mapping[j]."""
-    out = 0
-    while v:
-        low = v & -v
-        out |= 1 << mapping[low.bit_length() - 1]
-        v ^= low
-    return out
 
 
 def column_map(weights, degree: int, pos: int) -> list[int]:
@@ -64,7 +56,7 @@ def column_map(weights, degree: int, pos: int) -> list[int]:
 def built(kind: str):
     quotient = QUOTIENTS[kind]()
     quotient.extend_to(TOP)
-    assert quotient.top is None or quotient.top >= TOP, kind
+    assert quotient.top >= TOP, kind
     return quotient
 
 

@@ -7,20 +7,7 @@ from hypothesis import strategies as st
 
 from cuplength.gf2linalg import Eliminator
 
-from conftest import add_row, installed_rows
-
-
-def naive_rank(rows: list[int]) -> int:
-    """Textbook elimination with per-column scans, no pivot bookkeeping."""
-    rows = [r for r in rows if r]
-    count = 0
-    while rows:
-        pivot_row = rows[0]
-        pivot_bit = pivot_row & -pivot_row
-        count += 1
-        rows = [r ^ pivot_row if r & pivot_bit else r for r in rows[1:]]
-        rows = [r for r in rows if r]
-    return count
+from conftest import add_row, installed_rows, naive_rank
 
 
 def holding(rows: list[int]) -> Eliminator:

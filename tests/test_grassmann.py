@@ -118,10 +118,18 @@ def test_membership_beyond_formal_dimension():
     assert pres.is_zero(big)
 
 
-@pytest.mark.parametrize("oriented", [False, True])
-def test_normal_form_above_formal_dimension_is_zero_without_a_ladder(oriented):
-    pres = GrassmannPresentation(9, 3)
-    ring = pres.oriented() if oriented else pres
+# The (9, 3) ring, keyed by whether it is oriented, and its two cross-check quotients.
+RINGS_OF_9_3 = {
+    False: lambda: GrassmannPresentation(9, 3),
+    True: lambda: GrassmannPresentation(9, 3).oriented(),
+    "k3-closed-form": lambda: k3_reduced_quotient(9),
+    "w1-adjoined": lambda: w1_adjoined_quotient(9, 3),
+}
+
+
+@pytest.mark.parametrize("kind", RINGS_OF_9_3)
+def test_normal_form_above_formal_dimension_is_zero_without_a_ladder(kind):
+    ring = RINGS_OF_9_3[kind]()
     w2 = Gf2Polynomial.variable(ring.weights, 2)
     assert ring.normal_form(w2**150) == Gf2Polynomial.zero(ring.weights)
     assert not ring.normal_form(w2**201)
@@ -208,11 +216,27 @@ def test_size_caps_enforced():
         GrassmannPresentation(30, 5, 100)
 
 
-def test_degree_cap_refuses_a_quotient_without_a_top_only(monkeypatch):
-    monkeypatch.setattr(grassmann, "MAX_DEGREE", 10)
-    quotient = k3_reduced_quotient(9)
-    with pytest.raises(SizeCapExceeded, match=r"^degree 11 exceeds cap 10$"):
-        quotient.dim(11)
+def test_cross_check_quotients_are_built_to_the_capped_formal_dimension(monkeypatch):
+    # N is checked before any generator is computed.
+    def no_work(*args):
+        raise AssertionError("generators computed for a refused ring")
+
+    monkeypatch.setattr(grassmann, "ideal_gens_k3", no_work)
+    monkeypatch.setattr(grassmann, "inverse_series_components", no_work)
+    with pytest.raises(SizeCapExceeded, match=r"^formal dimension 402 exceeds cap$"):
+        k3_reduced_quotient(137)
+    with pytest.raises(SizeCapExceeded, match=r"^formal dimension 410 exceeds cap$"):
+        w1_adjoined_quotient(51, 10)
+    monkeypatch.undo()
+    # A fresh quotient's top is N; the build lowers it to where the oriented ring ends.
+    for n, k in ((9, 3), (10, 4), (12, 3)):
+        ctx = GrassmannPresentation(n, k).oriented()
+        ctx.betti()
+        quotients = [w1_adjoined_quotient(n, k)] + ([k3_reduced_quotient(n)] if k == 3 else [])
+        for quotient in quotients:
+            assert quotient.top == ctx.N
+            quotient.extend_to(ctx.N)
+            assert quotient.top == ctx.top < ctx.N, (n, k)
     # A Grassmann ring is capped by its own max_degree, checked once on N; its top bounds every build.
     assert sum(GrassmannPresentation(9, 3, 18).betti()) == math.comb(9, 3)
 
