@@ -13,7 +13,11 @@ class Eliminator:
     its pivot up, and the caller may hand in a row object it keeps elsewhere.
     A caller that knows p is free may store p -> u into _piv itself, as add
     would: rows are only ever added, so reads rebuild their pivot mask
-    whenever _piv has grown."""
+    whenever _piv has grown.  A row may also be deferred, a list [shift,
+    source, *args] whose bits are shift(source, *args), source an int or a
+    deferred row: add turns each one it reads, the incoming row and each row
+    it xors, into bits once and in place, so a row that no add reads is never
+    computed.  Only add reads deferred rows; reduce and finalize need ints."""
 
     __slots__ = ("_piv", "_mask", "_masked")
 
@@ -26,14 +30,18 @@ class Eliminator:
     def rank(self) -> int:
         return len(self._piv)
 
-    def add(self, u: int, p: int) -> int:
+    def add(self, u: int | list, p: int) -> int:
         """Insert the row u << p, u odd; returns 1 + the pivot it was installed at, or 0 if it was in the span."""
         piv = self._piv
+        if u.__class__ is list:
+            u = _bits(u)
         while True:
             r = piv.get(p)
             if r is None:
                 piv[p] = u
                 return p + 1
+            if r.__class__ is list:
+                piv[p] = r = _bits(r)
             u ^= r
             if not u:
                 return 0
@@ -63,3 +71,11 @@ class Eliminator:
     def finalize(self) -> dict[int, int]:
         """Reduced echelon form of the rows, pivot -> row; the rows stay as installed."""
         return {p: 1 << p | self.reduce((u ^ 1) << p) for p, u in self._piv.items()}
+
+
+def _bits(row: list) -> int:
+    """The bits of a deferred row, computed once: the list becomes [bits]."""
+    if len(row) > 1:
+        shift, source, *args = row
+        row[:] = (shift(_bits(source) if source.__class__ is list else source, *args),)
+    return row[0]

@@ -85,7 +85,7 @@ def _shifted(u: int, starts, targets, low: int, out: int) -> int:
     return image
 
 
-def _runs(rests, counts, w: int, head: bool) -> tuple[array, array]:
+def _runs(rests, counts, w: int, head: bool) -> tuple[list[int], list[int]]:
     """Run table of a variable of weight w that maps each block of a degree into one block w up.
 
     rests holds, per nonempty target block in canonical order, the degree
@@ -94,7 +94,7 @@ def _runs(rests, counts, w: int, head: bool) -> tuple[array, array]:
     r - w.  It lands, in order, on the head of its target block or on the
     tail.  Adjacent blocks that move by the same offset form one run.
     """
-    starts, targets = array("I"), array("I")
+    starts, targets = [], []
     start = end = 0
     for r in rests:
         length = counts[r]
@@ -144,8 +144,10 @@ class GradedQuotient:
     ranks_only keeps of a built degree only its rank: its rows live on in
     _sig while a later degree may shift them, and no eliminator is kept, so
     dim works but a read that reduces (normal_form, is_zero, times,
-    longest_monomial_product) raises ValueError.  The rows are still built
-    and, for a regular sequence, still checked.
+    longest_monomial_product) raises ValueError.  Every pivot is still
+    predicted, and every row whose pivot is taken still goes through add and,
+    for a regular sequence, is checked; but a row that a table of many runs
+    moves is deferred (see Eliminator), its bits computed only if add reads it.
     """
 
     def __init__(self, weights, generators, top, regular_name=None, ranks_only=False):
@@ -168,15 +170,16 @@ class GradedQuotient:
         # Per variable position p and degree r: the number of monomials of
         # degree r in the variables up to p.
         self._counts: list[list[int]] = [[] for _ in self.weights]
-        # Run tables of multiplication by each variable: (source degree, position) -> (starts, targets).
-        self._blocks: dict[tuple[int, int], tuple[array, array]] = {}
+        # Run tables of multiplication by each variable: (source degree, position) -> (starts, targets),
+        # lists, packed into arrays once their degree is built unless ranks_only's deferred rows read them.
+        self._blocks: dict[tuple[int, int], tuple[list[int] | array, list[int] | array]] = {}
         # Per degree and pivot column: 1 + the generator whose row installed it, else 0.
         self._owner: list[bytearray] = []
         # Signature rows of the last max(weights) degrees: per generator, the
         # installed row of (t, j) by column of t, shifted down to its pivot as
         # the eliminator holds it (0 where none was installed), and beside it
         # the pivots.  Only the columns of the t a degree up to top reads are kept.
-        self._sig: dict[int, list[tuple[list[int], array] | None]] = {}
+        self._sig: dict[int, list[tuple[list, list[int]] | None]] = {}
 
     def extend_to(self, degree: int) -> None:
         # Never past top, read again after each degree: the build may have learned it.
@@ -194,21 +197,21 @@ class GradedQuotient:
             raise SizeCapExceeded(f"degree {d} basis has {width} monomials, cap {MAX_BASIS}")
         self._add_block_tables(d)
         elim = Eliminator()
-        piv = elim._piv
+        piv, lazy = elim._piv, self.ranks_only
         owner = bytearray(width)
 
         # A row whose t ends in x_p is first read in degree d + min(weights[p:]),
         # which grows with p; the window keeps the columns of the t in x_0..x_last,
         # the variables whose rows some degree up to top reads.
         last = sum(d + min(self.weights[p:]) <= self.top for p in range(len(self.weights))) - 1
-        sig: list[tuple[list[int], array] | None] = []
+        sig: list[tuple[list, list[int]] | None] = []
         for j, (g, dg) in enumerate(zip(self.generators, self._gen_degrees)):
             te = d - dg
             if te < 0:
                 sig.append(None)
                 continue
             keep = self._counts[last][te] if last >= 0 else 0
-            rows, pivots = [0] * keep, array("I", [0]) * keep
+            rows, pivots = [0] * keep, [0] * keep
             sig.append((rows, pivots))
             mark = j + 1
             # Batches in increasing signature order: the source rows and pivots, how many
@@ -231,8 +234,6 @@ class GradedQuotient:
                 # A table of one run (the last variable's, always) moves every row by
                 # targets[0]: the row object stays as it is and only its pivot moves.
                 lone = targets[0] if len(starts) == 1 else None
-                # Lists, since bisect on an array boxes the item it reads at every probe.
-                starts, targets = list(starts), list(targets)
                 for c in range(n - 1, -1, -1):
                     u, tc = source[c], c + offset
                     # A zero source (skipped, or reduced to zero) has only multiples that would reduce to zero.
@@ -244,7 +245,8 @@ class GradedQuotient:
                             # Run tables preserve order: the pivot lands where its run sends it.
                             i = bisect_right(starts, sp) - 1
                             p = sp - starts[i] + targets[i]
-                            u = _shifted(u, starts, targets, sp, p)
+                            # With no eliminator kept, only add reads a row's bits: defer them.
+                            u = [_shifted, u, starts, targets, sp, p] if lazy else _shifted(u, starts, targets, sp, p)
                         if p in piv:
                             # Only here can a row reduce to zero.
                             q = elim.add(u, p)
@@ -264,6 +266,9 @@ class GradedQuotient:
         self._ranks.append(elim.rank)
         if not self.ranks_only:
             self._elims.append(elim)
+            # Only _shift reads the tables into d from here on.
+            for key in [(d - w, p) for p, w in enumerate(self.weights) if d >= w]:
+                self._blocks[key] = tuple(array("I", t) for t in self._blocks[key])
         self._owner.append(owner)
         self._sig[d] = sig
         m = max(self.weights)
@@ -449,16 +454,21 @@ class GrassmannPresentation(GradedQuotient):
     def __init__(self, n: int, k: int, max_degree: int = MAX_DEGREE, ranks_only=False):
         N = formal_dimension(n, k, max_degree)
         gens = tuple(inverse_series_components(k, n)[n - k + 1 :])
-        self._setup(n, k, N, "unoriented", tuple(range(1, k + 1)), gens, ranks_only)
-
-    def _setup(self, n: int, k: int, N: int, context: str, weights, ideal_gens, ranks_only=False):
-        self.n, self.k, self.N = n, k, N
-        self.context = context
-        self.ideal_gens = ideal_gens
         # Only the unoriented generators are a regular sequence (k of them in k variables).
-        regular_name = f"(n, k) = ({n}, {k})" if context == "unoriented" else None
-        super().__init__(weights, ideal_gens, top=N, regular_name=regular_name, ranks_only=ranks_only)
+        super().__init__(range(1, k + 1), gens, top=N, regular_name=f"(n, k) = ({n}, {k})", ranks_only=ranks_only)
+        self.n, self.k, self.N, self.context, self.ideal_gens = n, k, N, "unoriented", gens
         self._oriented: GrassmannPresentation | None = None
+
+    @classmethod
+    def _characteristic(cls, unoriented: "GrassmannPresentation") -> "GrassmannPresentation":
+        """Z2[w2..wk] modulo the unoriented ring's generators with w1 set to zero, built to its N."""
+        n, k, N = unoriented.n, unoriented.k, unoriented.N
+        ring = cls.__new__(cls)
+        gens = tuple(g.substitute_zero(1) for g in unoriented.ideal_gens)
+        GradedQuotient.__init__(ring, unoriented.weights[1:], gens, top=N)
+        ring.n, ring.k, ring.N, ring.context, ring.ideal_gens = n, k, N, "oriented-characteristic", gens
+        ring._oriented = None
+        return ring
 
     def betti(self) -> list[int]:
         """Per-degree dimensions b_0..b_N of the quotient ring."""
@@ -471,10 +481,7 @@ class GrassmannPresentation(GradedQuotient):
         by reference counting rather than by the cyclic garbage collector.
         """
         if self._oriented is None:
-            gens = tuple(g.substitute_zero(1) for g in self.ideal_gens)
-            ring = object.__new__(GrassmannPresentation)
-            ring._setup(self.n, self.k, self.N, "oriented-characteristic", self.weights[1:], gens)
-            self._oriented = ring
+            self._oriented = self._characteristic(self)
         return self._oriented
 
 

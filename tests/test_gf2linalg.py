@@ -207,3 +207,29 @@ def test_rows_stored_straight_into_free_pivots_are_seen_by_the_next_read(rows, p
             # The normal form: no bit in a pivot column, and v - w in the span.
             assert not any(w >> q & 1 for q in elim._piv)
             assert naive_rank(stored + [v ^ w]) == len(stored)
+
+
+def test_add_computes_each_deferred_row_it_reads_once_as_the_int_it_stands_for():
+    calls = []
+
+    def spread(u: int, s: int) -> int:
+        calls.append((u, s))
+        return u ^ u << s
+
+    inner = [spread, 0b1011, 1]  # 0b11101
+    outer = [spread, inner, 2]  # 0b1101001
+    deferred, plain = Eliminator(), Eliminator()
+    # A chain of two, at a free pivot: installed as the bits it stands for.
+    assert deferred.add(outer, 3) == plain.add(0b1101001, 3) == 4
+    assert deferred._piv == plain._piv and len(calls) == 2
+    # Read again, neither row is computed again; in the span, outer adds nothing.
+    assert deferred.add(outer, 3) == plain.add(0b1101001, 3) == 0
+    assert deferred.add(inner, 3) == plain.add(0b11101, 3) == 6
+    assert len(calls) == 2
+    # A deferred row stored straight into a free pivot is computed when an
+    # add xors it, once, and kept there as an int.
+    deferred._piv[0], plain._piv[0] = [spread, 0b1, 4], 0b10001
+    for _ in range(2):
+        assert deferred.add(0b1, 0) == plain.add(0b1, 0)
+    assert deferred._piv == plain._piv and len(calls) == 3
+    assert all(type(u) is int for u in deferred._piv.values())
