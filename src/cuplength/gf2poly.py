@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import add, mul
 
 # Hard cap on any single exponent; construction fails beyond it.  Generous for
 # every desk-scale computation, small enough to catch runaway loops.
@@ -24,29 +25,31 @@ def _check_weights(weights: tuple[int, ...]) -> None:
         raise ValueError(f"weights must be strictly increasing positive integers, got {weights!r}")
 
 
-@dataclass(frozen=True)
+def _check_exps(exps: tuple[int, ...], width: int) -> None:
+    if len(exps) != width:
+        raise ValueError("exponent vector length must match the number of variables")
+    if min(exps) < 0:
+        raise ValueError("negative exponent")
+    if max(exps) > EXPONENT_CAP:
+        raise ValueError(f"exponent exceeds cap {EXPONENT_CAP}")
+
+
+@dataclass(frozen=True, slots=True)
 class Monomial:
-    """A power product of weighted variables, stored as an exponent vector."""
+    """A power product of weighted variables, stored as an exponent vector, with its weighted degree."""
 
     exps: tuple[int, ...]
     weights: tuple[int, ...]
+    degree: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_weights(self.weights)
-        if len(self.exps) != len(self.weights):
-            raise ValueError("exponent vector length must match the number of variables")
-        if any(e < 0 for e in self.exps):
-            raise ValueError("negative exponent")
-        if any(e > EXPONENT_CAP for e in self.exps):
-            raise ValueError(f"exponent exceeds cap {EXPONENT_CAP}")
-
-    @property
-    def degree(self) -> int:
-        return sum(e * w for e, w in zip(self.exps, self.weights))
+        _check_exps(self.exps, len(self.weights))
+        object.__setattr__(self, "degree", sum(map(mul, self.exps, self.weights)))
 
     def sort_key(self) -> tuple:
         """Canonical graded order: by degree, then by reversed exponent vector."""
-        return (self.degree, tuple(reversed(self.exps)))
+        return (self.degree, self.exps[::-1])
 
     def render(self) -> str:
         parts = []
@@ -58,6 +61,9 @@ class Monomial:
         return "*".join(parts) if parts else "1"
 
 
+_set_exps, _set_weights, _set_degree = Monomial.exps.__set__, Monomial.weights.__set__, Monomial.degree.__set__
+
+
 class Gf2Polynomial:
     """A GF(2) sum of monomials; addition is symmetric difference of term sets."""
 
@@ -66,19 +72,29 @@ class Gf2Polynomial:
     def __init__(self, weights, terms=()):
         weights = tuple(weights)
         _check_weights(weights)
-        # Each term becomes a checked Monomial before it may cancel, so a
-        # term that a later one cancels is validated all the same.
-        seen: dict[tuple[int, ...], Monomial] = {}
+        # Each exponent vector is checked before it may cancel, as a Monomial was
+        # when it was made; only the survivors become Monomials, set unchecked.
+        width, seen = len(weights), set()
         for t in terms:
-            if not isinstance(t, Monomial):
-                t = Monomial(tuple(t), weights)
-            elif t.weights != weights:
-                raise ValueError("term over a different variable set")
-            if seen.pop(t.exps, None) is None:
-                seen[t.exps] = t
-        normalized = tuple(sorted(seen.values(), key=Monomial.sort_key))
+            if isinstance(t, Monomial):
+                if t.weights != weights:
+                    raise ValueError("term over a different variable set")
+                t = t.exps
+            else:
+                t = tuple(t)
+                _check_exps(t, width)
+            if t in seen:
+                seen.remove(t)
+            else:
+                seen.add(t)
+        normalized = []
+        for e in seen:
+            m = object.__new__(Monomial)
+            _set_exps(m, e), _set_weights(m, weights), _set_degree(m, sum(map(mul, e, weights)))
+            normalized.append(m)
+        normalized.sort(key=Monomial.sort_key)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "terms", normalized)
+        object.__setattr__(self, "terms", tuple(normalized))
 
     def __setattr__(self, name, value):
         raise AttributeError("Gf2Polynomial is immutable")
@@ -127,9 +143,8 @@ class Gf2Polynomial:
         acc: set[tuple[int, ...]] = set()
         for a in self.terms:
             ae = a.exps
-            for b in other.terms:
-                prod = tuple(x + y for x, y in zip(ae, b.exps))
-                acc.symmetric_difference_update([prod])
+            # The products of a with the distinct terms of other are distinct: one toggle each.
+            acc.symmetric_difference_update(tuple(map(add, ae, b.exps)) for b in other.terms)
         return Gf2Polynomial(self.weights, acc)
 
     def square(self) -> "Gf2Polynomial":
@@ -150,12 +165,12 @@ class Gf2Polynomial:
         return result
 
     def is_homogeneous(self) -> bool:
-        return len({t.degree for t in self.terms}) <= 1
+        # Terms are sorted by degree, so the first and last bound the rest.
+        return not self.terms or self.terms[0].degree == self.terms[-1].degree
 
     def homogeneous_degree(self) -> int | None:
         """The common degree of all terms, or None for zero or mixed polynomials."""
-        degrees = {t.degree for t in self.terms}
-        return degrees.pop() if len(degrees) == 1 else None
+        return self.terms[0].degree if self.terms and self.is_homogeneous() else None
 
     def substitute_zero(self, weight: int) -> "Gf2Polynomial":
         """Set the variable of the given weight to zero, dropping it from the ring."""
@@ -175,15 +190,18 @@ class Gf2Polynomial:
         return f"Gf2Polynomial({self.render()!r})"
 
 
-def inverse_series_components(k: int, max_degree: int) -> list[Gf2Polynomial]:
-    """Homogeneous components q_0..q_max of 1/(1 + w1 + ... + wk) over GF(2).
+def inverse_series_components(k: int, max_degree: int, lowest: int = 0) -> list[Gf2Polynomial]:
+    """Homogeneous components q_lowest..q_max of 1/(1 + w1 + ... + wk) over GF(2).
 
     The recursion q_d = sum_j wj * q_{d-j} follows from (1 + w1 + ... + wk) * q = 1.
+    It runs on exponent sets; only the components asked for become polynomials.
     """
     if k < 1:
         raise ValueError("need at least one variable")
     if max_degree < 0:
         raise ValueError("negative degree bound")
+    if not 0 <= lowest <= max_degree:
+        raise ValueError("lowest degree out of range")
     weights = tuple(range(1, k + 1))
     comps: list[set[tuple[int, ...]]] = [{tuple(0 for _ in weights)}]
     for d in range(1, max_degree + 1):
@@ -192,9 +210,12 @@ def inverse_series_components(k: int, max_degree: int) -> list[Gf2Polynomial]:
             pos = j - 1
             for exps in comps[d - j]:
                 bumped = exps[:pos] + (exps[pos] + 1,) + exps[pos + 1 :]
-                acc.symmetric_difference_update([bumped])
+                if bumped in acc:
+                    acc.remove(bumped)
+                else:
+                    acc.add(bumped)
         comps.append(acc)
-    return [Gf2Polynomial(weights, c) for c in comps]
+    return [Gf2Polynomial(weights, c) for c in comps[lowest:]]
 
 
 def ideal_gens_k3(n: int) -> tuple[Gf2Polynomial, Gf2Polynomial, Gf2Polynomial]:

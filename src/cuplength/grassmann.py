@@ -142,12 +142,13 @@ class GradedQuotient:
     in _sig only if a degree up to top reads it.
 
     ranks_only keeps of a built degree only its rank: its rows live on in
-    _sig while a later degree may shift them, and no eliminator is kept, so
-    dim works but a read that reduces (normal_form, is_zero, times,
-    longest_monomial_product) raises ValueError.  Every pivot is still
-    predicted, and every row whose pivot is taken still goes through add and,
-    for a regular sequence, is checked; but a row that a table of many runs
-    moves is deferred (see Eliminator), its bits computed only if add reads it.
+    _sig while a later degree may shift them, no eliminator is kept, and the
+    run tables are freed once the top is built, so dim works but a read that
+    reduces (normal_form, is_zero, times, longest_monomial_product) raises
+    ValueError.  Every pivot is still predicted, and every row whose pivot is
+    taken still goes through add and, for a regular sequence, is checked; but
+    a row that a table of many runs moves is deferred (see Eliminator), its
+    bits computed only if add reads it.
     """
 
     def __init__(self, weights, generators, top, regular_name=None, ranks_only=False):
@@ -281,6 +282,8 @@ class GradedQuotient:
             self._blocks = {key: t for key, t in self._blocks.items() if key[0] + self.weights[key[1]] <= self.top}
         if self._vanishes(d + 1):
             self._sig.clear()
+            if self.ranks_only:
+                self._blocks.clear()
 
     def _add_block_tables(self, d: int) -> None:
         """Run tables of multiplication by each variable into degree d.
@@ -453,7 +456,7 @@ class GrassmannPresentation(GradedQuotient):
 
     def __init__(self, n: int, k: int, max_degree: int = MAX_DEGREE, ranks_only=False):
         N = formal_dimension(n, k, max_degree)
-        gens = tuple(inverse_series_components(k, n)[n - k + 1 :])
+        gens = tuple(inverse_series_components(k, n, n - k + 1))
         # Only the unoriented generators are a regular sequence (k of them in k variables).
         super().__init__(range(1, k + 1), gens, top=N, regular_name=f"(n, k) = ({n}, {k})", ranks_only=ranks_only)
         self.n, self.k, self.N, self.context, self.ideal_gens = n, k, N, "unoriented", gens
@@ -506,7 +509,7 @@ def w1_adjoined_quotient(n: int, k: int) -> GradedQuotient:
     """Full-ring quotient by the presentation ideal plus (w1), a second route to the oriented reduction."""
     N = formal_dimension(n, k)
     weights = tuple(range(1, k + 1))
-    gens = inverse_series_components(k, n)[n - k + 1 :] + [Gf2Polynomial.variable(weights, 1)]
+    gens = inverse_series_components(k, n, n - k + 1) + [Gf2Polynomial.variable(weights, 1)]
     return GradedQuotient(weights, gens, N)
 
 

@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from cuplength.gf2linalg import Eliminator
-    from cuplength.gf2poly import Gf2Polynomial
+    from cuplength.gf2poly import Gf2Polynomial, Monomial
     from cuplength.schubert import SchubertRing
 
 CRITERIA = {
@@ -51,6 +51,41 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         else:
             status = "FAIL (did not complete)"
         terminalreporter.write_line(f"ACCEPTANCE {number:02d} {status}: {CRITERIA[number]}")
+
+
+def reference_polynomial_terms(weights, terms) -> tuple[Monomial, ...]:
+    """The per-term constructor: each term becomes a checked Monomial before it
+    may cancel, terms cancel in pairs, and the survivors sort in the canonical
+    graded order (Monomial.sort_key: degree, then reversed exponent vector).
+
+    The checks and the order are spelled out here, one pass per condition, so
+    that they share no code with the package's."""
+    from cuplength.gf2poly import EXPONENT_CAP, Monomial
+
+    def check_weights(ws):
+        if not ws or list(ws) != sorted(set(ws)) or ws[0] < 1:
+            raise ValueError(f"weights must be strictly increasing positive integers, got {ws!r}")
+
+    weights = tuple(weights)
+    check_weights(weights)
+    seen: dict[tuple[int, ...], Monomial] = {}
+    for t in terms:
+        if not isinstance(t, Monomial):
+            exps = tuple(t)
+            if len(exps) != len(weights):
+                raise ValueError("exponent vector length must match the number of variables")
+            if any(e < 0 for e in exps):
+                raise ValueError("negative exponent")
+            if any(e > EXPONENT_CAP for e in exps):
+                raise ValueError(f"exponent exceeds cap {EXPONENT_CAP}")
+            t = Monomial(exps, weights)
+        elif t.weights != weights:
+            raise ValueError("term over a different variable set")
+        if seen.pop(t.exps, None) is None:
+            seen[t.exps] = t
+    return tuple(
+        sorted(seen.values(), key=lambda m: (sum(e * w for e, w in zip(m.exps, weights)), tuple(reversed(m.exps))))
+    )
 
 
 def add_row(elim: Eliminator, v: int) -> int:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_polynomial_terms
 from cuplength.gf2poly import (
     EXPONENT_CAP,
     Gf2Polynomial,
@@ -141,6 +142,67 @@ def test_parse_golden():
 def test_constructor_checks_terms_that_cancel(terms, message):
     with pytest.raises(ValueError, match=message):
         Gf2Polynomial(W23, terms)
+
+
+def outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return ("refused", str(exc))
+
+
+@st.composite
+def raw_terms(draw):
+    """Weights, sometimes malformed, and a term list with duplicates, tuples,
+    lists, Monomials over these or other weights, and out-of-range vectors."""
+    valid = [W23, W123, (1, 2, 3, 4)]
+    weights = draw(st.sampled_from(valid * 8 + [(), (3, 2), (2, 2), (0, 2)]))
+    width = max(len(weights), 1)
+    small = st.lists(st.integers(0, 3), min_size=width, max_size=width).map(tuple)
+    bad = st.one_of(
+        st.lists(st.integers(0, 3), min_size=width + 1, max_size=width + 1).map(tuple),
+        st.lists(st.integers(0, 3), min_size=width - 1, max_size=width - 1).map(tuple),
+        small.map(lambda t: t[:-1] + (-1,)),
+        small.map(lambda t: (EXPONENT_CAP + 1,) + t[1:]),
+        small.map(lambda t: (EXPONENT_CAP + 1,) + t[1:-1] + (-1,)),
+        st.just(Monomial((0, 1, 0), W123)),
+    )
+    good = [small, small.map(list), small.map(lambda t: (EXPONENT_CAP,) + t[1:])]
+    if weights in valid:
+        good.append(small.map(lambda t: Monomial(t, weights)))
+    terms = draw(st.lists(st.one_of(*good), max_size=10))
+    # Duplicates, so that terms cancel, and now and then an out-of-range term, once or twice.
+    terms += draw(st.lists(st.sampled_from(terms), max_size=4)) if terms else []
+    if draw(st.integers(0, 2)) == 0:
+        term = draw(bad)
+        for _ in range(draw(st.integers(1, 2))):
+            terms.insert(draw(st.integers(0, len(terms))), term)
+    return weights, draw(st.permutations(terms))
+
+
+@settings(max_examples=300)
+@given(raw_terms())
+def test_constructor_matches_the_per_term_reference(case):
+    weights, terms = case
+    got = outcome(lambda: Gf2Polynomial(weights, terms).terms)
+    assert got == outcome(lambda: reference_polynomial_terms(weights, terms))
+    if got and got[0] != "refused":
+        for t in got:
+            assert t.degree == sum(e * w for e, w in zip(t.exps, weights))
+            assert t.weights == weights
+
+
+def test_monomial_stores_its_degree_outside_equality_hash_and_repr():
+    m = Monomial((2, 1), W23)
+    assert m.degree == 7 and m.sort_key() == (7, (1, 2))
+    other = Monomial((2, 1), W23)
+    object.__setattr__(other, "degree", 99)
+    assert m == other and hash(m) == hash(other)
+    assert repr(m) == repr(other) == "Monomial(exps=(2, 1), weights=(2, 3))"
+    assert not hasattr(m, "__dict__")
+    for exps, message in (((1,), "exponent vector length"), ((1, -1), "negative exponent"), ((257, 0), "exceeds cap")):
+        with pytest.raises(ValueError, match=message):
+            Monomial(exps, W23)
 
 
 def test_characteristic_two_cancellation():

@@ -1,5 +1,6 @@
 """Graded quotient ladders against combinatorial and two-route oracles."""
 
+import hashlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from cuplength import grassmann
 from cuplength.bounds import summarize_oriented
-from cuplength.gf2poly import Gf2Polynomial
+from cuplength.gf2poly import Gf2Polynomial, inverse_series_components
 from cuplength.grassmann import (
     GrassmannPresentation,
     OrientedSummary,
@@ -102,6 +103,28 @@ def test_two_route_membership_higher_k(n, k):
         for exps in monomial_basis(weights, degree):
             x = Gf2Polynomial(weights, [exps])
             assert ctx.is_zero(x) == cokernel_is_zero(ring, elims, x), (n, k, exps)
+
+
+def test_series_components_from_the_lowest_asked_are_the_tail_of_the_full_list():
+    for k in range(1, 8):
+        for n in range(2 * k, 25):
+            full = inverse_series_components(k, n)
+            assert inverse_series_components(k, n, n - k + 1) == full[n - k + 1 :], (n, k)
+    for lowest in (-1, 13):
+        with pytest.raises(ValueError, match="lowest degree out of range"):
+            inverse_series_components(3, 12, lowest)
+
+
+def test_series_generators_of_every_ring_kind_match_their_golden_digest():
+    # Rendered generators of GrassmannPresentation(n, k), of its oriented ring and of
+    # w1_adjoined_quotient(n, k) for k = 3..7 and 2k <= n <= 24, as the full series gives them.
+    digest = hashlib.sha256()
+    for k in range(3, 8):
+        for n in range(2 * k, 25):
+            ring = GrassmannPresentation(n, k)
+            parts = [ring.ideal_gens, ring.oriented().ideal_gens, w1_adjoined_quotient(n, k).generators]
+            digest.update(repr([[g.render() for g in part] for part in parts]).encode())
+    assert digest.hexdigest() == "bd59e888c181e5d8573c4b7e466547ddbab87a3998f8707367739143264dcccb"
 
 
 def test_ideal_inclusion_is_monotone_in_n():

@@ -457,10 +457,13 @@ def test_ranks_only_ladder_holds_no_row_after_betti(monkeypatch):
     monkeypatch.setattr(grassmann, "Eliminator", TrackedEliminator)
     monkeypatch.setattr(TrackedEliminator, "live", weakref.WeakSet())
     ring = GrassmannPresentation(12, 5, ranks_only=True)
-    ring.betti()
-    assert ring._sig == {} and ring._elims == []
+    betti = ring.betti()
+    assert ring._sig == {} and ring._elims == [] and ring._blocks == {}
     assert not TrackedEliminator.live
     assert ring.dim(ring.N) == 1
+    # The full ladder keeps its tables for the reads that shift rows, and has the same Betti vector.
+    full = GrassmannPresentation(12, 5)
+    assert full.betti() == betti and full._blocks
 
 
 def test_reads_that_need_rows_refuse_a_ranks_only_ring():
