@@ -269,5 +269,6 @@ def parse_polynomial(text: str, weights) -> Gf2Polynomial:
                 if w not in weights:
                     raise ValueError(f"variable w{w} not in ring with weights {weights}")
                 exps[weights.index(w)] += e
-        terms.append(Monomial(tuple(exps), weights))
+        terms.append(tuple(exps))
+    # The constructor checks each vector once, so every summand parses before any is checked.
     return Gf2Polynomial(weights, terms)

@@ -123,10 +123,14 @@ class GradedQuotient:
     its row would reduce to zero; for a regular sequence no other row does,
     and regular_name (the ring's name, for the message) turns that into a
     check.  The quotient vanishes above top, given (a formal dimension) and
-    lowered when learned: once degrees D..D+m-1, m = max(weights), all have
-    dimension 0, the run is dropped and top becomes D - 1, since a monomial
-    of degree d > D+m-1 is x_i times one of degree d - w_i in [D, d - 1],
-    zero by induction on d.
+    lowered, dropping the degrees above it, once learned in one of two ways.
+    Once degrees D..D+m-1, m = max(weights), all have dimension 0, top is
+    D - 1: a monomial of degree d > D+m-1 is x_i times one of degree d - w_i
+    in [D, d - 1], zero by induction on d.  The oriented ring, C = H/w1*H for
+    H of Poincare duality in dimension N with Betti numbers b, learns it
+    sooner: dim C_d - (b_d - b_(d-1)) is the kernel of w1 on H^(d-1), which
+    duality pairs with C^(N-d+1), so the first d with a kernel makes top
+    N - d + 1.  A negative kernel raises RuntimeError.
 
     A column is known only by counting: column c of degree d is the monomial
     with c monomials of degree d before it in the canonical order, so ranks,
@@ -181,6 +185,8 @@ class GradedQuotient:
         # the eliminator holds it (0 where none was installed), and beside it
         # the pivots.  Only the columns of the t a degree up to top reads are kept.
         self._sig: dict[int, list[tuple[list, list[int]] | None]] = {}
+        # For a quotient C = H/w1*H, H's Betti numbers b_0..b_N, until _build learns top from them.
+        self._cover_betti: list[int] | None = None
 
     def extend_to(self, degree: int) -> None:
         # Never past top, read again after each degree: the build may have learned it.
@@ -274,12 +280,23 @@ class GradedQuotient:
         self._sig[d] = sig
         m = max(self.weights)
         self._sig.pop(d - m, None)
-        # m zero degrees in a row: the quotient ends before them (see the class docstring).
+        # The two ways to learn top (see the class docstring): by the kernel of w1 on H^(d-1) ...
+        top = None
+        if self._cover_betti is not None:
+            b, dim = self._cover_betti, width - elim.rank
+            step = b[d] - (b[d - 1] if d else 0)
+            if dim < step:
+                raise RuntimeError(f"degree {d} has dimension {dim}, below b_d - b_(d-1) = {step}")
+            if dim > step:
+                self._cover_betti, top = None, len(b) - d
+        # ... or by m zero degrees in a row, before which the quotient ends.
         if d >= m - 1 and all(self._counts[-1][e] == self._ranks[e] for e in range(d - m + 1, d + 1)):
-            self.top = d - m
-            del self._ranks[d - m + 1 :], self._elims[d - m + 1 :], self._owner[d - m + 1 :]
+            top = d - m
+        if top is not None:
+            self.top = top
+            del self._ranks[top + 1 :], self._elims[top + 1 :], self._owner[top + 1 :]
             # Nothing reads a run table into a vanished degree.
-            self._blocks = {key: t for key, t in self._blocks.items() if key[0] + self.weights[key[1]] <= self.top}
+            self._blocks = {key: t for key, t in self._blocks.items() if key[0] + self.weights[key[1]] <= top}
         if self._vanishes(d + 1):
             self._sig.clear()
             if self.ranks_only:
@@ -435,6 +452,19 @@ def check_domain(n: int, k: int) -> None:
         raise ValueError(f"need n >= 2k >= 6, got (n, k) = ({n}, {k})")
 
 
+def gaussian_binomial(n: int, k: int) -> list[int]:
+    """b_0..b_N of G_k(R^n) mod 2, the partitions of each size in a k x (n-k) box: the
+    coefficients of the product of (1 - q^(n-k+i)) / (1 - q^i), i = 1..k, as series cut at q^N."""
+    N = k * (n - k)
+    b = [1] + [0] * N
+    for i in range(1, k + 1):
+        for d in range(N, n - k + i - 1, -1):
+            b[d] -= b[d - (n - k + i)]
+        for d in range(i, N + 1):
+            b[d] += b[d - i]
+    return b
+
+
 def formal_dimension(n: int, k: int, max_degree: int = MAX_DEGREE) -> int:
     """N = k(n - k), refused unless n >= 2k >= 6 and N <= max_degree."""
     check_domain(n, k)
@@ -469,6 +499,7 @@ class GrassmannPresentation(GradedQuotient):
         ring = cls.__new__(cls)
         gens = tuple(g.substitute_zero(1) for g in unoriented.ideal_gens)
         GradedQuotient.__init__(ring, unoriented.weights[1:], gens, top=N)
+        ring._cover_betti = gaussian_binomial(n, k)
         ring.n, ring.k, ring.N, ring.context, ring.ideal_gens = n, k, N, "oriented-characteristic", gens
         ring._oriented = None
         return ring

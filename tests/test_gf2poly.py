@@ -129,6 +129,14 @@ def test_parse_golden():
     # Every term is checked, even one that a later term cancels.
     with pytest.raises(ValueError, match="exceeds cap"):
         parse_polynomial("w2^300 + w2^300", W23)
+    # Every summand is parsed before any exponent is checked: a later parse error wins over an
+    # earlier summand over the cap, and the cap is reported only once all of them parse.
+    with pytest.raises(ValueError, match="cannot parse factor"):
+        parse_polynomial(f"w2^{EXPONENT_CAP + 1} + w3^x", W23)
+    with pytest.raises(ValueError, match="not in ring"):
+        parse_polynomial(f"w2^{EXPONENT_CAP + 1} + w5", W23)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        parse_polynomial(f"w2^{EXPONENT_CAP + 1} + w3", W23)
 
 
 @pytest.mark.parametrize(

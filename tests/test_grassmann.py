@@ -60,6 +60,18 @@ def test_betti_matches_box_partition_count(n, k):
     assert betti == betti[::-1]
 
 
+@pytest.mark.parametrize("n,k", [(n, k) for k in range(3, 7) for n in range(2 * k, 2 * k + 9)])
+def test_oriented_betti_mirror_identity(n, k):
+    # C = H/w1*H, so dim C^(e+1) - (b_(e+1) - b_e) is the kernel of w1 on H^e, which Poincare
+    # duality pairs with C^(N-e).  Above N both sides read zero.
+    N = k * (n - k)
+    b = gaussian_binomial_betti(n, k) + [0]
+    ctx = GrassmannPresentation(n, k).oriented()
+    c = ctx.betti() + [ctx.dim(N + 1)]
+    for e in range(N + 1):
+        assert c[N - e] == c[e + 1] - (b[e + 1] - b[e]), e
+
+
 def test_monomial_basis_order_and_count():
     assert monomial_basis((2, 3), 12) == [(6, 0), (3, 2), (0, 4)]
     for d in range(15):

@@ -247,11 +247,12 @@ def test_reads_above_the_learned_top_are_zero_and_build_nothing(monkeypatch, fir
 
 
 def test_basis_cap_between_the_stopped_ladder_and_the_formal_dimension(monkeypatch):
-    # The oriented (16, 7) ladder stops after degree 48 + max(weights) = 55, short of N = 63, so a
-    # basis cap wider than every degree it builds but narrower than degree N no longer refuses it.
+    # The oriented (16, 7) ladder stops at its top 48, short of N = 63, so a basis cap wider
+    # than every degree up to the top but narrower than degree N no longer refuses it.
     ctx = GrassmannPresentation(16, 7).oriented()
     expected = ctx.betti()
-    built = max(len(monomial_basis(ctx.weights, d)) for d in range(ctx.top + max(ctx.weights) + 1))
+    assert ctx.top == 48
+    built = max(len(monomial_basis(ctx.weights, d)) for d in range(ctx.top + 1))
     assert built < len(monomial_basis(ctx.weights, ctx.N))
     monkeypatch.setattr(grassmann, "MAX_BASIS", built)
     capped = GrassmannPresentation(16, 7).oriented()
@@ -260,6 +261,48 @@ def test_basis_cap_between_the_stopped_ladder_and_the_formal_dimension(monkeypat
     below = GrassmannPresentation(16, 7).oriented()
     with pytest.raises(SizeCapExceeded):
         below.betti()
+
+
+# The oriented rings k = 3..7, 2k <= n <= 2k + 12, N <= 130.
+ORIENTED_GRID = [(n, k) for k in range(3, 8) for n in range(2 * k, 2 * k + 13) if k * (n - k) <= 130]
+
+
+@pytest.mark.parametrize("n,k", sorted(random.Random(0).sample(ORIENTED_GRID, 16)) + [(16, 7)])
+def test_oriented_top_by_duality_matches_the_zero_degree_rule(n, k):
+    # The oriented ring learns its top from the unoriented Betti numbers; a plain quotient of the
+    # same generators learns it only from max(weights) zero degrees in a row, past the top.
+    assert len(ORIENTED_GRID) == 64
+    ctx = GrassmannPresentation(n, k).oriented()
+    plain = GradedQuotient(ctx.weights, ctx.ideal_gens, ctx.N)
+    assert ctx.betti() == [plain.dim(d) for d in range(ctx.N + 1)]
+    assert ctx.top == plain.top < ctx.N
+    assert len(ctx._elims) == len(plain._elims) == ctx.top + 1
+    for d in range(ctx.top + 1):
+        assert installed_rows(ctx._elims[d]) == installed_rows(plain._elims[d]), d
+    # No degree above the top was built, where the plain quotient built max(weights) more.
+    assert len(ctx._counts[-1]) == ctx.top + 1 < len(plain._counts[-1])
+
+
+def test_oriented_16_7_learns_its_top_at_degree_16_and_builds_nothing_above_it(monkeypatch):
+    ctx = GrassmannPresentation(16, 7).oriented()
+    build, seen = ctx._build, []
+
+    def recording_build(d):
+        build(d)
+        seen.append((d, ctx.top))
+
+    monkeypatch.setattr(ctx, "_build", recording_build)
+    ctx.betti()
+    # dim C_16 - (b_16 - b_15) is the first nonzero kernel of w1, on H^15: top = 63 - 15.
+    assert seen == [(d, 63) for d in range(16)] + [(d, 48) for d in range(16, 49)]
+
+
+def test_a_degree_below_the_cokernel_of_w1_raises():
+    ctx = GrassmannPresentation(9, 3).oriented()
+    # A b_1 one too high asks C_1 for a class that w1 * H^0 misses, but C_1 = 0 < b_1 - b_0.
+    ctx._cover_betti[1] += 1
+    with pytest.raises(RuntimeError, match="degree 1 has dimension 0, below"):
+        ctx.betti()
 
 
 def unpruned_longest_product(ctx, target=0):
