@@ -6,8 +6,6 @@ a grid check reports its failures one per line and ends with a summary line.
 
 from __future__ import annotations
 
-import math
-
 from .bounds import (
     full_report,
     lower_a3,
@@ -19,6 +17,7 @@ from .bounds import (
 from .gf2poly import Gf2Polynomial, ideal_gens_k3
 from .grassmann import (
     GrassmannPresentation,
+    gaussian_binomial,
     k3_reduced_membership,
     k3_reduced_quotient,
     w1_adjoined_quotient,
@@ -203,9 +202,8 @@ def betti_duality(max_n: int | None) -> list[Line]:
     results = []
     for n, k in grid:
         pres = GrassmannPresentation(n, k, ranks_only=True)
-        betti = pres.betti()
-        if betti != betti[::-1] or sum(betti) != math.comb(n, k):
-            results.append((f"({n},{k})", False, "betti vector fails duality or total"))
+        if pres.betti() != gaussian_binomial(n, k):
+            results.append((f"({n},{k})", False, "betti vector differs from the Gaussian binomial coefficients"))
         if n % 2 == 1:
             ctx = pres.oriented()
             ht = height_direct(ctx, Gf2Polynomial.variable(ctx.weights, 2)).height

@@ -228,6 +228,8 @@ def cmd_sweep(args) -> int:
     max_degree = _max_degree(args)
     if k < 3 or n_min < 2 * k:
         raise ValueError(f"sweep range must respect n >= 2k >= 6, got k={k}, n_min={n_min}")
+    if n_min > args.n_max:
+        raise ValueError(f"sweep range is empty: n_min={n_min} exceeds n_max={args.n_max}")
     if _rational_undefined(args):
         return EXIT_UNDEFINED
     rows = []

@@ -147,8 +147,8 @@ class GradedQuotient:
 
     ranks_only keeps of a built degree only its rank: its rows live on in
     _sig while a later degree may shift them, no eliminator is kept, and the
-    run tables are freed once the top is built, so dim works but a read that
-    reduces (normal_form, is_zero, times, longest_monomial_product) raises
+    run tables are dropped once their degree is built, so dim works but a read
+    that reduces (normal_form, is_zero, times, longest_monomial_product) raises
     ValueError.  Every pivot is still predicted, and every row whose pivot is
     taken still goes through add and, for a regular sequence, is checked; but
     a row that a table of many runs moves is deferred (see Eliminator), its
@@ -161,23 +161,20 @@ class GradedQuotient:
         self.regular_name = regular_name
         self.ranks_only = ranks_only
         self.generators: tuple[Gf2Polynomial, ...] = tuple(g for g in generators if g)
-        self._gen_degrees: list[int] = []
         for g in self.generators:
             if g.weights != self.weights:
                 raise ValueError("generator over a different variable set")
-            d = g.homogeneous_degree()
-            if d is None:
+            if g.homogeneous_degree() is None:
                 raise ValueError("generators must be homogeneous and nonzero")
-            self._gen_degrees.append(d)
         # Per built degree: the rank of its ideal part and, unless ranks_only, its eliminator.
         self._ranks: list[int] = []
         self._elims: list[Eliminator] = []
         # Per variable position p and degree r: the number of monomials of
         # degree r in the variables up to p.
         self._counts: list[list[int]] = [[] for _ in self.weights]
-        # Run tables of multiplication by each variable: (source degree, position) -> (starts, targets),
-        # lists, packed into arrays once their degree is built unless ranks_only's deferred rows read them.
-        self._blocks: dict[tuple[int, int], tuple[list[int] | array, list[int] | array]] = {}
+        # Run tables of multiplication by each variable, for _shift: (source degree, position) ->
+        # (starts, targets), packed into arrays; ranks_only drops them once their degree is built.
+        self._blocks: dict[tuple[int, int], tuple[array, array]] = {}
         # Per degree and pivot column: 1 + the generator whose row installed it, else 0.
         self._owner: list[bytearray] = []
         # Signature rows of the last max(weights) degrees: per generator, the
@@ -202,7 +199,7 @@ class GradedQuotient:
         width = self._counts[-1][d]
         if width > MAX_BASIS:
             raise SizeCapExceeded(f"degree {d} basis has {width} monomials, cap {MAX_BASIS}")
-        self._add_block_tables(d)
+        tables = self._block_tables(d)
         elim = Eliminator()
         piv, lazy = elim._piv, self.ranks_only
         owner = bytearray(width)
@@ -212,8 +209,8 @@ class GradedQuotient:
         # the variables whose rows some degree up to top reads.
         last = sum(d + min(self.weights[p:]) <= self.top for p in range(len(self.weights))) - 1
         sig: list[tuple[list, list[int]] | None] = []
-        for j, (g, dg) in enumerate(zip(self.generators, self._gen_degrees)):
-            te = d - dg
+        for j, g in enumerate(self.generators):
+            te = d - g.homogeneous_degree()
             if te < 0:
                 sig.append(None)
                 continue
@@ -236,7 +233,7 @@ class GradedQuotient:
                     w = self.weights[pos]
                     if te >= w:
                         n, offset = self._counts[pos][te - w], self._counts[pos - 1][te] if pos else 0
-                        batches.append((*self._sig[d - w][j], n, offset, *self._blocks[d - w, pos]))
+                        batches.append((*self._sig[d - w][j], n, offset, *tables[d - w, pos]))
             for source, spivots, n, offset, starts, targets in batches:
                 # A table of one run (the last variable's, always) moves every row by
                 # targets[0]: the row object stays as it is and only its pivot moves.
@@ -271,11 +268,11 @@ class GradedQuotient:
                         if tc < keep:
                             rows[tc], pivots[tc] = u, p
         self._ranks.append(elim.rank)
+        # Only _shift reads the tables into d from here on, and a ranks_only quotient, whose
+        # deferred rows hold their own, never calls it.
         if not self.ranks_only:
             self._elims.append(elim)
-            # Only _shift reads the tables into d from here on.
-            for key in [(d - w, p) for p, w in enumerate(self.weights) if d >= w]:
-                self._blocks[key] = tuple(array("I", t) for t in self._blocks[key])
+            self._blocks.update((key, tuple(array("I", t) for t in pair)) for key, pair in tables.items())
         self._owner.append(owner)
         self._sig[d] = sig
         m = max(self.weights)
@@ -299,11 +296,9 @@ class GradedQuotient:
             self._blocks = {key: t for key, t in self._blocks.items() if key[0] + self.weights[key[1]] <= top}
         if self._vanishes(d + 1):
             self._sig.clear()
-            if self.ranks_only:
-                self._blocks.clear()
 
-    def _add_block_tables(self, d: int) -> None:
-        """Run tables of multiplication by each variable into degree d.
+    def _block_tables(self, d: int) -> dict[tuple[int, int], tuple[list[int], list[int]]]:
+        """Run tables of multiplication by each variable into degree d, by (source degree, position).
 
         In the canonical order, the columns of a degree that share the
         exponents of the variables after x_p form one contiguous block, and
@@ -314,17 +309,17 @@ class GradedQuotient:
         each block of the (x_0, x_1) level onto the head of its target; the
         blocks of x_0 alone, single columns, are never listed.  A block's
         length is a monomial count over the variables up to x_p, so the
-        tables follow from _counts alone, and each is stored as its maximal
+        tables follow from _counts alone, and each is given as its maximal
         runs (see _runs): the last variable's is one run, a plain <<.
         """
-        weights, counts = self.weights, self._counts
+        weights, counts, tables = self.weights, self._counts, {}
         # Degrees left to the variables up to p, one per nonempty block of
         # degree d, in canonical order.
         rests = [d]
         for p in range(len(weights) - 1, 0, -1):
             w = weights[p]
             if d >= w:
-                self._blocks[d - w, p] = _runs(rests, counts[p], w, head=False)
+                tables[d - w, p] = _runs(rests, counts[p], w, head=False)
             if p > 1:
                 below = counts[p - 1]
                 rests = [s for r in rests for s in range(r, -1, -w) if below[s]]
@@ -332,7 +327,8 @@ class GradedQuotient:
         # block is the whole degree and x_0 fills its tail.
         if d >= weights[0]:
             level = min(1, len(weights) - 1)
-            self._blocks[d - weights[0], 0] = _runs(rests, counts[level], weights[0], head=level == 1)
+            tables[d - weights[0], 0] = _runs(rests, counts[level], weights[0], head=level == 1)
+        return tables
 
     def _shift(self, v: int, degree: int, pos: int) -> int:
         """The vector v of the given degree times the variable at pos."""
@@ -492,30 +488,24 @@ class GrassmannPresentation(GradedQuotient):
         self.n, self.k, self.N, self.context, self.ideal_gens = n, k, N, "unoriented", gens
         self._oriented: GrassmannPresentation | None = None
 
-    @classmethod
-    def _characteristic(cls, unoriented: "GrassmannPresentation") -> "GrassmannPresentation":
-        """Z2[w2..wk] modulo the unoriented ring's generators with w1 set to zero, built to its N."""
-        n, k, N = unoriented.n, unoriented.k, unoriented.N
-        ring = cls.__new__(cls)
-        gens = tuple(g.substitute_zero(1) for g in unoriented.ideal_gens)
-        GradedQuotient.__init__(ring, unoriented.weights[1:], gens, top=N)
-        ring._cover_betti = gaussian_binomial(n, k)
-        ring.n, ring.k, ring.N, ring.context, ring.ideal_gens = n, k, N, "oriented-characteristic", gens
-        ring._oriented = None
-        return ring
-
     def betti(self) -> list[int]:
         """Per-degree dimensions b_0..b_N of the quotient ring."""
         return [self.dim(d) for d in range(self.N + 1)]
 
     def oriented(self) -> "GrassmannPresentation":
-        """Z2[w2..wk] modulo the generators with w1 set to zero, the quotient by I + (w1).
+        """Z2[w2..wk] modulo the generators with w1 set to zero, the quotient by I + (w1), built to N.
 
         It keeps no reference back to this ring, so a finished ring is freed
         by reference counting rather than by the cyclic garbage collector.
         """
         if self._oriented is None:
-            self._oriented = self._characteristic(self)
+            n, k, N = self.n, self.k, self.N
+            ring = self._oriented = type(self).__new__(type(self))
+            gens = tuple(g.substitute_zero(1) for g in self.ideal_gens)
+            GradedQuotient.__init__(ring, self.weights[1:], gens, top=N)
+            ring._cover_betti = gaussian_binomial(n, k)
+            ring.n, ring.k, ring.N, ring.context, ring.ideal_gens = n, k, N, "oriented-characteristic", gens
+            ring._oriented = None
         return self._oriented
 
 
@@ -686,12 +676,11 @@ def load_record(cache_dir: str, n: int, k: int) -> OrientedSummary | None:
         raise ValueError(f"{where} needs {N + 1} Betti numbers")
     if min(betti) < 0:
         raise ValueError(f"{where}: a Betti number is negative")
-    # No relation has degree below n - k + 1, so there b_d counts the monomials of degree d.
-    counts = [1] + [0] * (n - k)
-    for w in range(2, k + 1):
-        for d in range(w, n - k + 1):
-            counts[d] += counts[d - w]
-    for d, count in enumerate(counts):
+    # No relation has degree below n - k + 1, so there b_d counts the monomials of w2..wk of degree d:
+    # b_d - b_(d-1) of the unoriented ring, as w1 is injective on it there.
+    b = gaussian_binomial(n, k)
+    for d in range(n - k + 1):
+        count = b[d] - (b[d - 1] if d else 0)
         if betti[d] != count:
             raise ValueError(f"{where}: b_{d} is {betti[d]}, not the monomial count {count} below degree {n - k + 1}")
     exps, length, degree = product

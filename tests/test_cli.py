@@ -173,10 +173,12 @@ def test_sweep_csv_shape(capsys):
         assert cells[9] == ("true" if lower == upper else "false")
 
 
-def test_sweep_empty_range(capsys):
-    code, out, _ = run(capsys, "sweep", "3", "8", "7", "--format", "csv")
-    assert code == EXIT_OK
-    assert out.strip() == "n,k,field,lower,lower_method,upper,upper_method,cat_lower,cat_upper,exact"
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_sweep_refuses_an_empty_range(capsys, fmt):
+    code, out, err = run(capsys, "sweep", "3", "8", "7", "--format", fmt)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: sweep range is empty: n_min=8 exceeds n_max=7\n"
 
 
 def test_sweep_bad_range(capsys):

@@ -16,6 +16,7 @@ from cuplength.grassmann import (
     GrassmannPresentation,
     OrientedSummary,
     SizeCapExceeded,
+    gaussian_binomial,
     k3_reduced_membership,
     k3_reduced_quotient,
     load_record,
@@ -45,6 +46,17 @@ def gaussian_binomial_betti(n: int, k: int) -> list[int]:
             quotient.pop()
         coeffs = quotient
     return coeffs
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_gaussian_binomial_helper_counts_partitions_and_low_monomials(k):
+    for n in range(2 * k, 25):
+        b = gaussian_binomial(n, k)
+        assert b == gaussian_binomial_betti(n, k), (n, k)
+        # Below the first relation degree n - k + 1 w1 is injective, so b_d - b_(d-1)
+        # counts the monomials of w2..wk, as load_record reads it.
+        for d in range(n - k + 1):
+            assert len(monomial_basis(tuple(range(2, k + 1)), d)) == b[d] - (b[d - 1] if d else 0), (n, k, d)
 
 
 def test_betti_oracle_small():

@@ -509,6 +509,14 @@ def test_ranks_only_ladder_holds_no_row_after_betti(monkeypatch):
     assert full.betti() == betti and full._blocks
 
 
+def test_ranks_only_ladder_drops_each_run_table_once_its_degree_is_built():
+    ring = GrassmannPresentation(16, 5, ranks_only=True)
+    for d in range(ring.N + 1):
+        ring.dim(d)
+        assert len(ring._ranks) == d + 1
+        assert ring._blocks == {}, d
+
+
 def test_reads_that_need_rows_refuse_a_ranks_only_ring():
     ring = GrassmannPresentation(9, 3, ranks_only=True)
     w2 = Gf2Polynomial.variable(ring.weights, 2)
@@ -549,6 +557,24 @@ def test_ring_command_and_betti_duality_use_ranks_only_rings(monkeypatch, capsys
     assert seen == [True]
     assert all(ok for _, ok, _ in checks.betti_duality(None))
     assert seen == [True] * 11
+
+
+def test_betti_duality_fails_a_palindromic_vector_with_the_right_total(monkeypatch):
+    betti = GrassmannPresentation.betti
+
+    def shuffled(self):
+        # Moves one class from degree 3 to degree 2 and, dually, from N - 3 to N - 2.
+        b = betti(self)
+        b[2] += 1
+        b[-3] += 1
+        b[3] -= 1
+        b[-4] -= 1
+        return b
+
+    monkeypatch.setattr(GrassmannPresentation, "betti", shuffled)
+    lines = checks.betti_duality(None)
+    assert ("(6,3)", False, "betti vector differs from the Gaussian binomial coefficients") in lines
+    assert lines[-1] == ("10 rings", False, "palindromic, correct totals, odd-n height gap")
 
 
 def traced_peak(build) -> int:
