@@ -122,15 +122,13 @@ class GradedQuotient:
     signature whose t is a leading term of (g_1..g_{j-1}) is skipped, since
     its row would reduce to zero; for a regular sequence no other row does,
     and regular_name (the ring's name, for the message) turns that into a
-    check.  The quotient vanishes above top, given (a formal dimension) and
-    lowered, dropping the degrees above it, once learned in one of two ways.
-    Once degrees D..D+m-1, m = max(weights), all have dimension 0, top is
-    D - 1: a monomial of degree d > D+m-1 is x_i times one of degree d - w_i
-    in [D, d - 1], zero by induction on d.  The oriented ring, C = H/w1*H for
-    H of Poincare duality in dimension N with Betti numbers b, learns it
-    sooner: dim C_d - (b_d - b_(d-1)) is the kernel of w1 on H^(d-1), which
+    check.  The quotient vanishes above top, given (a formal dimension).
+    Every presentation of C = H/w1*H, H of Poincare duality in dimension N
+    with Betti numbers b, lowers it to where C ends and drops the degrees
+    above: dim C_d - (b_d - b_(d-1)) is the kernel of w1 on H^(d-1), which
     duality pairs with C^(N-d+1), so the first d with a kernel makes top
-    N - d + 1.  A negative kernel raises RuntimeError.
+    N - d + 1.  A negative kernel raises RuntimeError.  Any other quotient
+    is built to the top its caller gives.
 
     A column is known only by counting: column c of degree d is the monomial
     with c monomials of degree d before it in the canonical order, so ranks,
@@ -170,7 +168,7 @@ class GradedQuotient:
         self._ranks: list[int] = []
         self._elims: list[Eliminator] = []
         # Per variable position p and degree r: the number of monomials of
-        # degree r in the variables up to p.
+        # degree r in the variables up to p, for every degree built or given to times.
         self._counts: list[list[int]] = [[] for _ in self.weights]
         # Run tables of multiplication by each variable, for _shift: (source degree, position) ->
         # (starts, targets), packed into arrays; ranks_only drops them once their degree is built.
@@ -191,12 +189,7 @@ class GradedQuotient:
             self._build(len(self._ranks))
 
     def _build(self, d: int) -> None:
-        for p, w in enumerate(self.weights):
-            counts = self._counts[p]
-            below = self._counts[p - 1][d] if p else int(d == 0)
-            # Assigned from d on, so a degree the cap refused is counted again, not twice.
-            counts[d:] = [below + (counts[d - w] if d >= w else 0)]
-        width = self._counts[-1][d]
+        width = self._width(d)
         if width > MAX_BASIS:
             raise SizeCapExceeded(f"degree {d} basis has {width} monomials, cap {MAX_BASIS}")
         tables = self._block_tables(d)
@@ -275,25 +268,18 @@ class GradedQuotient:
             self._blocks.update((key, tuple(array("I", t) for t in pair)) for key, pair in tables.items())
         self._owner.append(owner)
         self._sig[d] = sig
-        m = max(self.weights)
-        self._sig.pop(d - m, None)
-        # The two ways to learn top (see the class docstring): by the kernel of w1 on H^(d-1) ...
-        top = None
+        self._sig.pop(d - max(self.weights), None)
+        # Learn top from the kernel of w1 on H^(d-1) (see the class docstring).
         if self._cover_betti is not None:
             b, dim = self._cover_betti, width - elim.rank
             step = b[d] - (b[d - 1] if d else 0)
             if dim < step:
                 raise RuntimeError(f"degree {d} has dimension {dim}, below b_d - b_(d-1) = {step}")
             if dim > step:
-                self._cover_betti, top = None, len(b) - d
-        # ... or by m zero degrees in a row, before which the quotient ends.
-        if d >= m - 1 and all(self._counts[-1][e] == self._ranks[e] for e in range(d - m + 1, d + 1)):
-            top = d - m
-        if top is not None:
-            self.top = top
-            del self._ranks[top + 1 :], self._elims[top + 1 :], self._owner[top + 1 :]
-            # Nothing reads a run table into a vanished degree.
-            self._blocks = {key: t for key, t in self._blocks.items() if key[0] + self.weights[key[1]] <= top}
+                self._cover_betti, self.top = None, len(b) - d
+                del self._ranks[self.top + 1 :], self._elims[self.top + 1 :], self._owner[self.top + 1 :]
+                # Nothing reads a run table into a vanished degree.
+                self._blocks = {key: t for key, t in self._blocks.items() if key[0] + self.weights[key[1]] <= self.top}
         if self._vanishes(d + 1):
             self._sig.clear()
 
@@ -329,6 +315,16 @@ class GradedQuotient:
             level = min(1, len(weights) - 1)
             tables[d - weights[0], 0] = _runs(rests, counts[level], weights[0], head=level == 1)
         return tables
+
+    def _width(self, degree: int) -> int:
+        """The columns of a degree up to top, counted with every degree below it, built or not; 0 outside."""
+        if self._vanishes(degree):
+            return 0
+        for d in range(len(self._counts[-1]), degree + 1):
+            for p, w in enumerate(self.weights):
+                below = self._counts[p - 1][d] if p else int(d == 0)
+                self._counts[p].append(below + (self._counts[p][d - w] if d >= w else 0))
+        return self._counts[-1][degree]
 
     def _shift(self, v: int, degree: int, pos: int) -> int:
         """The vector v of the given degree times the variable at pos."""
@@ -412,21 +408,23 @@ class GradedQuotient:
         return not self._reduced(poly)[0]
 
     def times(self, v: int, degree: int, x: Gf2Polynomial) -> int:
-        """Reduced vector of the class v (a vector in the given degree) times x."""
+        """Reduced vector of the class v, over the columns of the given degree (none above top as learned), times x."""
         self._need_rows("times")
-        target = product_degree(self.weights, degree, x)
-        if not self._reach(target):
+        target = product_degree(self.weights, degree, x, v, self._width(degree))
+        if not (v and self._reach(target)):
             return 0
         return self._elims[target].reduce(term_products(x, v, degree, self._shift))
 
 
-def product_degree(weights: tuple[int, ...], degree: int, x: Gf2Polynomial) -> int:
-    """Degree of a class of the given degree times x, checked to be homogeneous over weights."""
+def product_degree(weights: tuple[int, ...], degree: int, x: Gf2Polynomial, v: int, width: int) -> int:
+    """Degree of v times x, v checked to fit the width columns of its degree and x to be homogeneous over weights."""
     if x.weights != weights:
         raise ValueError("polynomial over a different variable set")
     dx = x.homogeneous_degree()
     if dx is None:
         raise ValueError("multiplication requires a nonzero homogeneous polynomial")
+    if v < 0 or v >> width:
+        raise ValueError(f"not a vector of degree {degree}: it must lie in [0, 2^{width})")
     return degree + dx
 
 
@@ -510,9 +508,11 @@ class GrassmannPresentation(GradedQuotient):
 
 
 def k3_reduced_quotient(n: int) -> GradedQuotient:
-    """Z2[w2,w3] modulo the closed-form three-plane generators, built to N = 3(n - 3)."""
+    """Z2[w2,w3] modulo the closed-form three-plane generators: C for k = 3, built to its top."""
     N = formal_dimension(n, 3)
-    return GradedQuotient((2, 3), ideal_gens_k3(n), N)
+    ring = GradedQuotient((2, 3), ideal_gens_k3(n), N)
+    ring._cover_betti = gaussian_binomial(n, 3)
+    return ring
 
 
 def k3_reduced_membership(n: int, x: Gf2Polynomial) -> bool:
@@ -527,11 +527,13 @@ def _last_k3_quotient(n: int) -> GradedQuotient:
 
 
 def w1_adjoined_quotient(n: int, k: int) -> GradedQuotient:
-    """Full-ring quotient by the presentation ideal plus (w1), a second route to the oriented reduction."""
+    """Full-ring quotient by the presentation ideal plus (w1), a second route to C, built to its top."""
     N = formal_dimension(n, k)
     weights = tuple(range(1, k + 1))
     gens = inverse_series_components(k, n, n - k + 1) + [Gf2Polynomial.variable(weights, 1)]
-    return GradedQuotient(weights, gens, N)
+    ring = GradedQuotient(weights, gens, N)
+    ring._cover_betti = gaussian_binomial(n, k)
+    return ring
 
 
 def longest_monomial_product(ctx: GrassmannPresentation) -> tuple[tuple[int, ...], int, int]:
@@ -652,8 +654,11 @@ def load_record(cache_dir: str, n: int, k: int) -> OrientedSummary | None:
     path = _record_path(cache_dir, n, k)
     if not os.path.exists(path):
         return None
-    with open(path) as fh:
-        record = json.load(fh)
+    try:
+        with open(path) as fh:
+            record = json.load(fh)
+    except ValueError as exc:  # JSON or text decoding
+        raise ValueError(f"cache record {path} cannot be decoded: {exc}") from None
     if not isinstance(record, dict) or set(record) != _RECORD_KEYS:
         raise ValueError(f"unrecognized cache record shape in {path}")
     if record["schema"] != RECORD_SCHEMA:

@@ -73,5 +73,5 @@ class SchubertRing:
 
     def times(self, v: int, degree: int, x: Gf2Polynomial) -> int:
         """The class v (a vector in the given degree) times x; every class above N is 0."""
-        target = product_degree(self.weights, degree, x)
-        return 0 if target > self.N else term_products(x, v, degree, self._shift)
+        target = product_degree(self.weights, degree, x, v, self._counts[degree] if 0 <= degree <= self.N else 0)
+        return term_products(x, v, degree, self._shift) if v and target <= self.N else 0

@@ -29,6 +29,9 @@ CRITERIA = {
 
 ACCEPTANCE_LOG: list[tuple[int, bool]] = []
 
+# The oriented rings k = 3..7, 2k <= n <= 2k + 12, N <= 130.
+ORIENTED_GRID = [(n, k) for k in range(3, 8) for n in range(2 * k, 2 * k + 13) if k * (n - k) <= 130]
+
 
 def record_criterion(number: int, ok: bool) -> None:
     ACCEPTANCE_LOG.append((number, bool(ok)))

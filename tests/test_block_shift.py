@@ -40,7 +40,7 @@ QUOTIENTS = {
     "oriented (2, 3, 4)": lambda: GrassmannPresentation(12, 4).oriented(),
     "oriented (2, ..., 6)": lambda: GrassmannPresentation(12, 6).oriented(),
     "w1-adjoined (1, ..., 4)": lambda: w1_adjoined_quotient(12, 4),
-    "closed form (2, 3)": lambda: k3_reduced_quotient(12),
+    "closed form (2, 3)": lambda: k3_reduced_quotient(13),
     "single variable (2,)": lambda: GradedQuotient((2,), [Gf2Polynomial((2,), [(9,)])], TOP),
 }
 

@@ -324,6 +324,17 @@ def test_bounds_cache_inconsistent_record_rejected(tmp_path, capsys, changes, me
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("raw,reason", [(b"not json", "Expecting value"), (b"\xff\xfe", "codec can't decode")])
+def test_bounds_cache_undecodable_record_rejected_by_name(tmp_path, capsys, raw, reason):
+    path = tmp_path / "gr_9_3_oriented.json"
+    path.write_bytes(raw)
+    code, out, err = run(capsys, "bounds", "9", "3", "--cache-dir", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: cache record {path} cannot be decoded: ") and reason in err
+    assert len(err.splitlines()) == 1
+
+
 def test_bounds_cache_height_outside_the_longest_product_rejected(tmp_path, capsys):
     # The longest product of (16, 4) is w2^12*w4^3, so w2 has height 12 to 15.  A
     # record claiming height 9 used to print a (b1) upper bound of 19 below the true 20.

@@ -27,7 +27,7 @@ from cuplength.grassmann import (
 )
 from cuplength.schubert import SchubertRing
 
-from conftest import cokernel_is_zero, w1_images
+from conftest import ORIENTED_GRID, cokernel_is_zero, w1_images
 
 
 def gaussian_binomial_betti(n: int, k: int) -> list[int]:
@@ -159,6 +159,34 @@ def test_ideal_inclusion_is_monotone_in_n():
             assert smaller.is_zero(gen), f"I({n + 1},3) not inside I({n},3)"
 
 
+@pytest.mark.parametrize(
+    "oriented,v,degree",
+    [
+        (False, 1 << 50, 0),
+        (False, 3, 1),  # degree 1 has the one column w1
+        (False, -1, 0),
+        (False, 1, 19),  # above N = 18
+        (False, 1, -1),
+        (True, 1, 1),  # no monomial of w2, w3 has degree 1
+        (True, 1, 9),  # w2^3*w3 and w3^3 are columns, but the ring ends at 8
+        (True, -2, 4),
+    ],
+)
+def test_times_refuses_a_vector_it_cannot_hold(oriented, v, degree):
+    ring = GrassmannPresentation(9, 3)
+    ring = ring.oriented() if oriented else ring
+    ring.betti()
+    x = Gf2Polynomial.variable(ring.weights, ring.weights[0])
+    with pytest.raises(ValueError, match=rf"^not a vector of degree {degree}: "):
+        ring.times(v, degree, x)
+    # The widest vector of each degree is held, and so is the zero vector of a degree with no classes.
+    for d in range(ring.top + 1):
+        full = (1 << len(monomial_basis(ring.weights, d))) - 1
+        product = ring.normal_form(ring._devectorize(full, d) * x)
+        assert ring.times(full, d, x) == ring._vectorize(product, d + ring.weights[0])
+    assert ring.times(0, ring.top + 1, x) == ring.times(0, -1, x) == 0
+
+
 def test_membership_beyond_formal_dimension():
     pres = GrassmannPresentation(6, 3)
     big = Gf2Polynomial(pres.weights, [(0, 5, 0)])
@@ -263,6 +291,15 @@ def test_size_caps_enforced():
         GrassmannPresentation(30, 5, 100)
 
 
+def learned_top(quotient, N: int) -> tuple[int, int] | None:
+    """Build a quotient degree by degree up to the degree whose build lowers its top below N: (it, top)."""
+    for d in range(N + 1):
+        quotient.extend_to(d)
+        if quotient.top < N:
+            return d, quotient.top
+    return None
+
+
 def test_cross_check_quotients_are_built_to_the_capped_formal_dimension(monkeypatch):
     # N is checked before any generator is computed.
     def no_work(*args):
@@ -275,15 +312,22 @@ def test_cross_check_quotients_are_built_to_the_capped_formal_dimension(monkeypa
     with pytest.raises(SizeCapExceeded, match=r"^formal dimension 410 exceeds cap$"):
         w1_adjoined_quotient(51, 10)
     monkeypatch.undo()
-    # A fresh quotient's top is N; the build lowers it to where the oriented ring ends.
-    for n, k in ((9, 3), (10, 4), (12, 3)):
-        ctx = GrassmannPresentation(n, k).oriented()
-        ctx.betti()
-        quotients = [w1_adjoined_quotient(n, k)] + ([k3_reduced_quotient(n)] if k == 3 else [])
-        for quotient in quotients:
-            assert quotient.top == ctx.N
-            quotient.extend_to(ctx.N)
-            assert quotient.top == ctx.top < ctx.N, (n, k)
+    # A fresh quotient's top is N.  The oriented ring and both cross-check quotients present the
+    # same ring C, so on every grid ring with N <= 64 they lower it to the same top at the same
+    # degree d.  Each has built exactly the degrees up to max(d, top), and kept those up to top:
+    # (9, 3), (10, 3), (11, 3) and (10, 4) learn their top above it and drop the degrees between.
+    for n, k in [(n, k) for n, k in ORIENTED_GRID if k * (n - k) <= 64]:
+        N = k * (n - k)
+        rings = [GrassmannPresentation(n, k).oriented(), w1_adjoined_quotient(n, k)]
+        rings += [k3_reduced_quotient(n)] if k == 3 else []
+        learned = []
+        for ring in rings:
+            assert ring.top == N
+            learned.append(learned_top(ring, N))
+            ring.extend_to(N)
+            assert len(ring._counts[-1]) == max(learned[-1]) + 1, (n, k)
+            assert len(ring._ranks) == len(ring._owner) == ring.top + 1, (n, k)
+        assert learned == [learned[0]] * len(rings) and learned[0][1] < N, (n, k, learned)
     # A Grassmann ring is capped by its own max_degree, checked once on N; its top bounds every build.
     assert sum(GrassmannPresentation(9, 3, 18).betti()) == math.comb(9, 3)
 

@@ -35,7 +35,7 @@ from cuplength.grassmann import (
 )
 from cuplength.heights import height_direct
 
-from conftest import add_row, installed_rows, shift_bits
+from conftest import ORIENTED_GRID, add_row, installed_rows, shift_bits
 
 
 def reduced_echelon_form(rows) -> dict[int, int]:
@@ -193,7 +193,7 @@ def test_signature_rows_kept_for_the_last_max_weight_degrees():
 
 @pytest.mark.parametrize("n,k,top,zeros", [(9, 3, 8, [1, 7]), (10, 4, 12, [1, 11])])
 def test_isolated_zero_degrees_do_not_stop_the_ladder(n, k, top, zeros):
-    # Runs of zero degrees shorter than max(weights) leave the build going.
+    # A zero degree below the top leaves the build going.
     ctx = GrassmannPresentation(n, k).oriented()
     betti = ctx.betti()
     assert ctx.top == top
@@ -263,24 +263,23 @@ def test_basis_cap_between_the_stopped_ladder_and_the_formal_dimension(monkeypat
         below.betti()
 
 
-# The oriented rings k = 3..7, 2k <= n <= 2k + 12, N <= 130.
-ORIENTED_GRID = [(n, k) for k in range(3, 8) for n in range(2 * k, 2 * k + 13) if k * (n - k) <= 130]
-
-
 @pytest.mark.parametrize("n,k", sorted(random.Random(0).sample(ORIENTED_GRID, 16)) + [(16, 7)])
 def test_oriented_top_by_duality_matches_the_zero_degree_rule(n, k):
-    # The oriented ring learns its top from the unoriented Betti numbers; a plain quotient of the
-    # same generators learns it only from max(weights) zero degrees in a row, past the top.
+    # The oriented ring learns its top from the unoriented Betti numbers.  A plain quotient of the
+    # same generators has no end rule and is built to N: it has the same rows up to that top, and
+    # its last nonzero degree is the top.
     assert len(ORIENTED_GRID) == 64
     ctx = GrassmannPresentation(n, k).oriented()
     plain = GradedQuotient(ctx.weights, ctx.ideal_gens, ctx.N)
-    assert ctx.betti() == [plain.dim(d) for d in range(ctx.N + 1)]
-    assert ctx.top == plain.top < ctx.N
-    assert len(ctx._elims) == len(plain._elims) == ctx.top + 1
+    dims = [plain.dim(d) for d in range(ctx.N + 1)]
+    assert plain.top == ctx.N and len(plain._elims) == ctx.N + 1
+    assert ctx.betti() == dims
+    assert max(d for d, dim in enumerate(dims) if dim) == ctx.top < ctx.N
+    assert len(ctx._elims) == ctx.top + 1
     for d in range(ctx.top + 1):
         assert installed_rows(ctx._elims[d]) == installed_rows(plain._elims[d]), d
-    # No degree above the top was built, where the plain quotient built max(weights) more.
-    assert len(ctx._counts[-1]) == ctx.top + 1 < len(plain._counts[-1])
+    # No degree above the top was built.
+    assert len(ctx._counts[-1]) == ctx.top + 1
 
 
 def test_oriented_16_7_learns_its_top_at_degree_16_and_builds_nothing_above_it(monkeypatch):

@@ -1,7 +1,9 @@
 """The Schubert-cell ring (Pieri rule) against the ladder, and the oriented ring as a cokernel."""
 
 import random
+from functools import reduce
 from itertools import product
+from operator import xor
 
 import pytest
 
@@ -177,6 +179,20 @@ def test_caps(monkeypatch):
     assert ring.times(1, 0, w1**4)
     with pytest.raises(SizeCapExceeded, match=r"^degree 5 basis has 6 partitions, cap 5$"):
         ring.times(1, 0, w1**5)
+
+
+@pytest.mark.parametrize("v,degree", [(1 << 50, 0), (3, 1), (-1, 0), (1, 19), (1, -1), (1 << 4, 4)])
+def test_times_refuses_a_vector_it_cannot_hold(v, degree):
+    # The 3 x 6 box holds one partition in degrees 0 and 1, four in degree 4, none above N = 18.
+    ring = SchubertRing(9, 3)
+    w1 = Gf2Polynomial.variable(ring.weights, 1)
+    with pytest.raises(ValueError, match=rf"^not a vector of degree {degree}: "):
+        ring.times(v, degree, w1)
+    # The widest vector of each degree is held, and so is the zero vector of a degree with no classes.
+    for d in range(ring.N + 1):
+        columns = range(ring._counts[d])
+        assert ring.times((1 << len(columns)) - 1, d, w1) == reduce(xor, (ring.times(1 << c, d, w1) for c in columns))
+    assert ring.times(0, ring.N + 1, w1) == ring.times(0, -1, w1) == 0
 
 
 def test_times_rejects_what_the_ladder_rejects():
