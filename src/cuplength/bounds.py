@@ -18,6 +18,7 @@ from .grassmann import (
     OrientedSummary,
     check_domain,
     longest_monomial_product,
+    oriented_quotient,
 )
 from .heights import decompose_n, height_direct, rational_p1_height
 
@@ -142,7 +143,7 @@ def cat_lower(cup: int) -> int:
 
 
 def summarize_oriented(pres: GrassmannPresentation) -> OrientedSummary:
-    """Compute the height, longest product, and dimension vector for one ring."""
+    """Compute the height, longest product, and dimension vector of pres's oriented ring C (pres if it is C)."""
     ctx = pres.oriented()
     w2 = Gf2Polynomial.variable(ctx.weights, 2)
     ht = height_direct(ctx, w2).height
@@ -187,7 +188,7 @@ def full_report(
         best_low, best_up = paper_low, paper_up
 
         if summary is None:
-            summary = summarize_oriented(GrassmannPresentation(n, k))
+            summary = summarize_oriented(oriented_quotient(n, k))
         # (b1) needs no classes strictly between r = 2 and q.  The relations start
         # in degree n - k + 1 >= 4, so w3 is nonzero in degree 3 and q = 3.
         b2, b3 = summary.char_dims[2:4]

@@ -20,6 +20,7 @@ from .grassmann import (
     SizeCapExceeded,
     formal_dimension,
     load_record,
+    oriented_quotient,
     save_record,
 )
 from .heights import ZeroClassError, closed_form_w2_height, height_direct
@@ -83,7 +84,7 @@ def _cached_summary(n: int, k: int, args, max_degree: int) -> OrientedSummary:
         summary = load_record(args.cache_dir, n, k)
         if summary is not None:
             return summary
-    summary = summarize_oriented(GrassmannPresentation(n, k, max_degree))
+    summary = summarize_oriented(oriented_quotient(n, k, max_degree))
     if args.cache_dir:
         save_record(args.cache_dir, summary)
     return summary
@@ -180,13 +181,13 @@ def cmd_height(args) -> int:
     poly = parse_polynomial(args.cls, weights)
     closed = None
     if args.oriented:
-        pres = GrassmannPresentation(n, k, max_degree)
+        ctx = oriented_quotient(n, k, max_degree)
         reduced = poly.substitute_zero(1)
         if poly and not reduced:
             raise ZeroClassError(
                 f"{poly.render()} is zero in the oriented-characteristic quotient for ({n}, {k})"
             )
-        record = height_direct(pres.oriented(), reduced)
+        record = height_direct(ctx, reduced)
     else:
         record = height_direct(SchubertRing(n, k, max_degree), poly)
         if poly == Gf2Polynomial.variable(weights, 2):

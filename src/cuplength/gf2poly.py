@@ -190,25 +190,26 @@ class Gf2Polynomial:
         return f"Gf2Polynomial({self.render()!r})"
 
 
-def inverse_series_components(k: int, max_degree: int, lowest: int = 0) -> list[Gf2Polynomial]:
-    """Homogeneous components q_lowest..q_max of 1/(1 + w1 + ... + wk) over GF(2).
+def inverse_series_components(weights, max_degree: int, lowest: int = 0) -> list[Gf2Polynomial]:
+    """Homogeneous components q_lowest..q_max of 1/(1 + x_1 + ... + x_m) over GF(2), x_j of weight w_j.
 
-    The recursion q_d = sum_j wj * q_{d-j} follows from (1 + w1 + ... + wk) * q = 1.
+    The recursion q_d = sum_j x_j * q_{d - w_j} follows from (1 + x_1 + ... + x_m) * q = 1.
     It runs on exponent sets; only the components asked for become polynomials.
+    Weights 1..k give 1/(1 + w1 + ... + wk), and 2..k its image under w1 -> 0.
     """
-    if k < 1:
-        raise ValueError("need at least one variable")
+    weights = tuple(weights)
+    _check_weights(weights)
     if max_degree < 0:
         raise ValueError("negative degree bound")
     if not 0 <= lowest <= max_degree:
         raise ValueError("lowest degree out of range")
-    weights = tuple(range(1, k + 1))
     comps: list[set[tuple[int, ...]]] = [{tuple(0 for _ in weights)}]
     for d in range(1, max_degree + 1):
         acc: set[tuple[int, ...]] = set()
-        for j in range(1, min(d, k) + 1):
-            pos = j - 1
-            for exps in comps[d - j]:
+        for pos, w in enumerate(weights):
+            if w > d:
+                break
+            for exps in comps[d - w]:
                 bumped = exps[:pos] + (exps[pos] + 1,) + exps[pos + 1 :]
                 if bumped in acc:
                     acc.remove(bumped)

@@ -143,14 +143,19 @@ class GradedQuotient:
     through add, and so does every row that reduces to zero.  A row is kept
     in _sig only if a degree up to top reads it.
 
+    A quotient that keeps its rows takes its run tables from _table_store,
+    which computes and packs the tables into each degree once for the last
+    variable set built, so the rings of one sweep share them.
+
     ranks_only keeps of a built degree only its rank: its rows live on in
-    _sig while a later degree may shift them, no eliminator is kept, and the
-    run tables are dropped once their degree is built, so dim works but a read
-    that reduces (normal_form, is_zero, times, longest_monomial_product) raises
-    ValueError.  Every pivot is still predicted, and every row whose pivot is
-    taken still goes through add and, for a regular sequence, is checked; but
-    a row that a table of many runs moves is deferred (see Eliminator), its
-    bits computed only if add reads it.
+    _sig while a later degree may shift them, no eliminator is kept, and its
+    run tables, lists of its own, are dropped once their degree is built, so
+    dim works but a read that reduces (normal_form, is_zero, times,
+    longest_monomial_product) raises ValueError.  Every pivot is still
+    predicted, and every row whose pivot is taken still goes through add
+    and, for a regular sequence, is checked; but a row that a table of many
+    runs moves is deferred (see Eliminator), its bits computed only if add
+    reads it.
     """
 
     def __init__(self, weights, generators, top, regular_name=None, ranks_only=False):
@@ -171,7 +176,7 @@ class GradedQuotient:
         # degree r in the variables up to p, for every degree built or given to times.
         self._counts: list[list[int]] = [[] for _ in self.weights]
         # Run tables of multiplication by each variable, for _shift: (source degree, position) ->
-        # (starts, targets), packed into arrays; ranks_only drops them once their degree is built.
+        # (starts, targets) as the arrays of _table_store; ranks_only drops its own once their degree is built.
         self._blocks: dict[tuple[int, int], tuple[array, array]] = {}
         # Per degree and pivot column: 1 + the generator whose row installed it, else 0.
         self._owner: list[bytearray] = []
@@ -192,7 +197,7 @@ class GradedQuotient:
         width = self._width(d)
         if width > MAX_BASIS:
             raise SizeCapExceeded(f"degree {d} basis has {width} monomials, cap {MAX_BASIS}")
-        tables = self._block_tables(d)
+        tables = self._block_tables(d) if self.ranks_only else _shared_tables(self, d)
         elim = Eliminator()
         piv, lazy = elim._piv, self.ranks_only
         owner = bytearray(width)
@@ -265,7 +270,7 @@ class GradedQuotient:
         # deferred rows hold their own, never calls it.
         if not self.ranks_only:
             self._elims.append(elim)
-            self._blocks.update((key, tuple(array("I", t) for t in pair)) for key, pair in tables.items())
+            self._blocks.update(tables)
         self._owner.append(owner)
         self._sig[d] = sig
         self._sig.pop(d - max(self.weights), None)
@@ -408,12 +413,32 @@ class GradedQuotient:
         return not self._reduced(poly)[0]
 
     def times(self, v: int, degree: int, x: Gf2Polynomial) -> int:
-        """Reduced vector of the class v, over the columns of the given degree (none above top as learned), times x."""
+        """Reduced vector of the class v, over the columns of the given degree (none above top), times x."""
         self._need_rows("times")
+        # A ring that may still lower its top learns it before v is checked, so a fresh and a
+        # built ring refuse the same vectors: reaching v's degree alone may stop short of the
+        # degree where top is learned.  Degree 0, of width 1, is never above top.
+        if v and degree > 0 and self._cover_betti is not None:
+            self.extend_to(self.top)
         target = product_degree(self.weights, degree, x, v, self._width(degree))
         if not (v and self._reach(target)):
             return 0
         return self._elims[target].reduce(term_products(x, v, degree, self._shift))
+
+
+def _shared_tables(ring: GradedQuotient, d: int) -> dict[tuple[int, int], tuple[array, array]]:
+    """The run tables into degree d of a quotient that keeps its rows, packed as arrays, each
+    computed once per process: they depend only on the weights and d (see _block_tables)."""
+    store = _table_store(ring.weights)
+    if d not in store:
+        store[d] = {key: (array("I", s), array("I", t)) for key, (s, t) in ring._block_tables(d).items()}
+    return store[d]
+
+
+@lru_cache(maxsize=1)
+def _table_store(weights: tuple[int, ...]) -> dict[int, dict]:
+    """Run tables by target degree for the last variable set built, shared by its quotients."""
+    return {}
 
 
 def product_degree(weights: tuple[int, ...], degree: int, x: Gf2Polynomial, v: int, width: int) -> int:
@@ -480,7 +505,7 @@ class GrassmannPresentation(GradedQuotient):
 
     def __init__(self, n: int, k: int, max_degree: int = MAX_DEGREE, ranks_only=False):
         N = formal_dimension(n, k, max_degree)
-        gens = tuple(inverse_series_components(k, n, n - k + 1))
+        gens = tuple(inverse_series_components(range(1, k + 1), n, n - k + 1))
         # Only the unoriented generators are a regular sequence (k of them in k variables).
         super().__init__(range(1, k + 1), gens, top=N, regular_name=f"(n, k) = ({n}, {k})", ranks_only=ranks_only)
         self.n, self.k, self.N, self.context, self.ideal_gens = n, k, N, "unoriented", gens
@@ -491,20 +516,33 @@ class GrassmannPresentation(GradedQuotient):
         return [self.dim(d) for d in range(self.N + 1)]
 
     def oriented(self) -> "GrassmannPresentation":
-        """Z2[w2..wk] modulo the generators with w1 set to zero, the quotient by I + (w1), built to N.
+        """The oriented characteristic ring C of the same (n, k), made once by oriented_quotient; C's own is C.
 
         It keeps no reference back to this ring, so a finished ring is freed
         by reference counting rather than by the cyclic garbage collector.
         """
+        if self.context != "unoriented":
+            return self
         if self._oriented is None:
-            n, k, N = self.n, self.k, self.N
-            ring = self._oriented = type(self).__new__(type(self))
-            gens = tuple(g.substitute_zero(1) for g in self.ideal_gens)
-            GradedQuotient.__init__(ring, self.weights[1:], gens, top=N)
-            ring._cover_betti = gaussian_binomial(n, k)
-            ring.n, ring.k, ring.N, ring.context, ring.ideal_gens = n, k, N, "oriented-characteristic", gens
-            ring._oriented = None
+            self._oriented = oriented_quotient(self.n, self.k, self.N)
         return self._oriented
+
+
+def oriented_quotient(n: int, k: int, max_degree: int = MAX_DEGREE) -> GrassmannPresentation:
+    """C = H/w1*H as Z2[w2..wk] modulo the components n-k+1..n of 1/(1 + w2 + ... + wk), built to its top.
+
+    That series is the image of 1/(1 + w1 + ... + wk) under w1 -> 0, a ring
+    map, so its components are the unoriented relations with w1 set to zero,
+    and the quotient is the one by I + (w1); no unoriented relation is computed.
+    """
+    N = formal_dimension(n, k, max_degree)
+    weights = tuple(range(2, k + 1))
+    gens = tuple(inverse_series_components(weights, n, n - k + 1))
+    ring = GrassmannPresentation.__new__(GrassmannPresentation)
+    GradedQuotient.__init__(ring, weights, gens, top=N)
+    ring._cover_betti = gaussian_binomial(n, k)
+    ring.n, ring.k, ring.N, ring.context, ring.ideal_gens = n, k, N, "oriented-characteristic", gens
+    return ring
 
 
 def k3_reduced_quotient(n: int) -> GradedQuotient:
@@ -530,7 +568,7 @@ def w1_adjoined_quotient(n: int, k: int) -> GradedQuotient:
     """Full-ring quotient by the presentation ideal plus (w1), a second route to C, built to its top."""
     N = formal_dimension(n, k)
     weights = tuple(range(1, k + 1))
-    gens = inverse_series_components(k, n, n - k + 1) + [Gf2Polynomial.variable(weights, 1)]
+    gens = inverse_series_components(weights, n, n - k + 1) + [Gf2Polynomial.variable(weights, 1)]
     ring = GradedQuotient(weights, gens, N)
     ring._cover_betti = gaussian_binomial(n, k)
     return ring
@@ -546,14 +584,24 @@ def longest_monomial_product(ctx: GrassmannPresentation) -> tuple[tuple[int, ...
     broken by larger length, then smaller exponent vector: of the longest
     states, one below N first, then the smallest exponent vector.
 
-    Best-first: a child of length l in degree d has no descendant longer
-    than b = l + (top - d) // min(weights).  Steps (state, variable) wait in
-    (b, l) groups, highest b first, then shortest l, and the walk stops once
-    the next b is below the deepest length found, L* at the end.  A child's
-    b is never above its parent's and its length is one more, so all of a
-    state's parents are merged before it is.  Every state of length L* and
-    its ancestors have b >= L*, so all are reached, each reduced once, with
-    the unpruned walk's exponent vectors.
+    Best-first, capped by the height h0 of the lightest variable x0 (the
+    weights ascend), found first with the walk's own steps: x0^(h0+1) = 0,
+    so no step past h0 factors x0 is pushed.  With w0 <= w1 the two lightest
+    weights, a child of length l in degree d with e0 factors x0 has no
+    descendant longer than b = l + a + (R - w0 a) // w1, R = top - d,
+    a = min(h0 - e0, R // w0): the most factors that fit in R with at most
+    h0 - e0 of them x0, lightest first (a alone with one variable).  Steps
+    wait in (b, l) groups, highest b first, then shortest l, and the walk
+    stops once the next b is below the deepest length found, L* at the end.
+    b never rises from parent to child, so a child's group comes after its
+    parent's, and b never falls as e0 falls.  A state's least exponent
+    vector is one step from the least vector of its parent state, and has
+    the fewest factors x0 of the state's vectors, so by induction on length
+    it arrives in the first group that reaches the state, whose merge keeps
+    it.  A class of one length has the same descendants whatever its
+    exponents, so an arrival at a state already merged is skipped.  Every
+    state of length L* and its ancestors have b >= L*, so all are reached,
+    with the unpruned walk's exponent vectors.
     """
     ctx._need_rows("longest_monomial_product")
     weights = ctx.weights
@@ -561,39 +609,57 @@ def longest_monomial_product(ctx: GrassmannPresentation) -> tuple[tuple[int, ...
     elims = ctx._elims
     shift = ctx._shift
     top = ctx.top
-    step = min(weights)
-    # The unit: degree 0 has the single basis monomial 1 and no ideal rows.
-    deepest = merged = {(0, 1): tuple(0 for _ in weights)}
+    w0 = weights[0]
+    # With one variable no second term fits: (R - w0 a) // w1 is 0 for R <= top.
+    w1 = weights[1] if len(weights) > 1 else top + 1
+    h0, u = 0, 1
+    while (h0 + 1) * w0 <= top:
+        u = elims[(h0 + 1) * w0].reduce(shift(u, h0 * w0, 0))
+        if not u:
+            break
+        h0 += 1
+    # Per length, the states merged so far; the unit: degree 0 has the single basis monomial 1 and no ideal rows.
+    merged = {(0, 1): tuple(0 for _ in weights)}
+    levels = {0: merged}
     length = deepest_len = 0
     groups: dict[tuple[int, int], list] = {}
     heap: list[tuple[int, int]] = []
     while True:
         for (d, nf), exps in merged.items():
             for pos, w in enumerate(weights):
-                if d + w <= top:
-                    key = (-(length + 1 + (top - d - w) // step), length + 1)
-                    group = groups.setdefault(key, [])
-                    if not group:
-                        heapq.heappush(heap, key)
-                    group.append((d, nf, pos, exps))
+                rest, e0 = top - d - w, exps[0] + (pos == 0)
+                if rest < 0:
+                    break
+                if e0 > h0:
+                    continue
+                a = min(h0 - e0, rest // w0)
+                b = length + 1 + a + (rest - w0 * a) // w1
+                # A group below the deepest length found is never taken.
+                if b < deepest_len:
+                    continue
+                key = (-b, length + 1)
+                group = groups.setdefault(key, [])
+                if not group:
+                    heapq.heappush(heap, key)
+                group.append((d, nf, pos, exps))
         if not heap or -heap[0][0] < deepest_len:
             break
         key = heapq.heappop(heap)
         length = key[1]
+        level = levels.setdefault(length, {})
         merged = {}
         for d, nf, pos, exps in groups.pop(key):
             nd = d + weights[pos]
             nnf = elims[nd].reduce(shift(nf, d, pos))
-            if nnf:
+            if nnf and (nd, nnf) not in level:
                 nexps = exps[:pos] + (exps[pos] + 1,) + exps[pos + 1 :]
                 old = merged.get((nd, nnf))
                 if old is None or nexps < old:
                     merged[nd, nnf] = nexps
-        if merged and length > deepest_len:
-            deepest, deepest_len = merged, length
-        elif length == deepest_len:
-            deepest.update(merged)
-    _, exps, d = min((d >= ctx.N, exps, d) for (d, _), exps in deepest.items())
+        level.update(merged)
+        if merged:
+            deepest_len = max(deepest_len, length)
+    _, exps, d = min((d >= ctx.N, exps, d) for (d, _), exps in levels[deepest_len].items())
     return exps, deepest_len, d
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuplength import cli, grassmann
 from cuplength.bounds import (
     Bound,
     BoundReport,
@@ -215,6 +216,25 @@ def test_report_from_summary_matches_fresh(tmp_path):
     round_tripped = load_record(str(tmp_path), 10, 3)
     assert round_tripped == summary
     assert full_report(10, 3, summary=round_tripped) == full_report(10, 3)
+
+
+def test_summary_path_computes_only_the_relations_of_c(monkeypatch, capsys):
+    # C's relations are the components of 1/(1 + w2 + ... + wk): neither a fresh report nor
+    # a cold bounds command computes the series over w1..wk.
+    seen = []
+    series = grassmann.inverse_series_components
+
+    def recording(weights, *args):
+        seen.append(tuple(weights))
+        return series(weights, *args)
+
+    monkeypatch.setattr(grassmann, "inverse_series_components", recording)
+    assert full_report(10, 4) == full_report(10, 4, summary=summarize_oriented(GrassmannPresentation(10, 4)))
+    assert seen == [(2, 3, 4), (1, 2, 3, 4), (2, 3, 4)]
+    seen.clear()
+    assert cli.main(["bounds", "10", "4"]) == 0
+    assert seen == [(2, 3, 4)]
+    capsys.readouterr()
 
 
 def test_report_rejects_crossed_bounds():

@@ -48,15 +48,21 @@ def test_generator_identity_n9():
 
 def test_closed_form_matches_series_reduction():
     for n in range(6, 33):
-        comps = inverse_series_components(3, n)
+        comps = inverse_series_components((1, 2, 3), n)
         reduced = tuple(comps[d].substitute_zero(1) for d in (n - 2, n - 1, n))
         assert reduced == ideal_gens_k3(n), f"n = {n}"
 
 
+def test_series_without_w1_is_the_image_of_the_full_series_under_w1_to_zero():
+    # w1 -> 0 is a ring map, so it sends 1/(1 + w1 + ... + wk) to 1/(1 + w2 + ... + wk) component by component.
+    for k in range(2, 8):
+        full = inverse_series_components(range(1, k + 1), 24)
+        assert inverse_series_components(range(2, k + 1), 24) == [c.substitute_zero(1) for c in full], k
+
+
 def test_series_inverse_is_inverse():
-    for k in (2, 3, 4):
-        weights = tuple(range(1, k + 1))
-        comps = inverse_series_components(k, 12)
+    for weights in ((1, 2), (1, 2, 3), (1, 2, 3, 4), (2, 3, 4), (3, 5)):
+        comps = inverse_series_components(weights, 12)
         total = Gf2Polynomial.zero(weights)
         for comp in comps:
             total = total + comp

@@ -132,11 +132,11 @@ def test_two_route_membership_higher_k(n, k):
 def test_series_components_from_the_lowest_asked_are_the_tail_of_the_full_list():
     for k in range(1, 8):
         for n in range(2 * k, 25):
-            full = inverse_series_components(k, n)
-            assert inverse_series_components(k, n, n - k + 1) == full[n - k + 1 :], (n, k)
+            full = inverse_series_components(range(1, k + 1), n)
+            assert inverse_series_components(range(1, k + 1), n, n - k + 1) == full[n - k + 1 :], (n, k)
     for lowest in (-1, 13):
         with pytest.raises(ValueError, match="lowest degree out of range"):
-            inverse_series_components(3, 12, lowest)
+            inverse_series_components((1, 2, 3), 12, lowest)
 
 
 def test_series_generators_of_every_ring_kind_match_their_golden_digest():
@@ -185,6 +185,21 @@ def test_times_refuses_a_vector_it_cannot_hold(oriented, v, degree):
         product = ring.normal_form(ring._devectorize(full, d) * x)
         assert ring.times(full, d, x) == ring._vectorize(product, d + ring.weights[0])
     assert ring.times(0, ring.top + 1, x) == ring.times(0, -1, x) == 0
+
+
+@pytest.mark.parametrize("n,degrees", [(9, (9, 17)), (10, (10, 18))])
+@pytest.mark.parametrize("order", ["fresh", "fresh, reversed", "built"])
+def test_times_refuses_a_vector_above_the_top_whatever_the_ring_has_built(n, degrees, order):
+    # The oriented (9, 3) ring ends at 8 and learns it at degree 11, (10, 3) ends at 9 and learns
+    # it at 13: a fresh ring learns its top before it checks v, so it refuses what a built one does.
+    ring = GrassmannPresentation(n, 3).oriented()
+    if order == "built":
+        ring.betti()
+    w2 = Gf2Polynomial.variable(ring.weights, 2)
+    for degree in degrees[::-1] if order == "fresh, reversed" else degrees:
+        with pytest.raises(ValueError, match=rf"^not a vector of degree {degree}: "):
+            ring.times(1, degree, w2)
+    assert ring.top == degrees[0] - 1
 
 
 def test_membership_beyond_formal_dimension():

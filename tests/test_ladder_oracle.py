@@ -359,6 +359,16 @@ def test_pruned_search_matches_unpruned_search_on_oriented_rings(n, k):
     assert longest_monomial_product(ctx) == unpruned_longest_product(ctx)
 
 
+@pytest.mark.parametrize("n,k", sorted(random.Random(1).sample(ORIENTED_GRID, 16)))
+def test_capped_search_matches_the_uncapped_walk_on_a_sample_of_the_oriented_grid(n, k):
+    # The uncapped walk pruned at the capped answer's length L still finds the true answer: a
+    # longer product and its ancestors have uncapped bounds above L.  Unlike the full walk, this
+    # pass stays well under a second on the largest rings of the sample.
+    ctx = GrassmannPresentation(n, k).oriented()
+    result = longest_monomial_product(ctx)
+    assert result == unpruned_longest_product(ctx, result[1])
+
+
 @pytest.mark.parametrize("n,k", [(6, 3), (9, 3), (8, 4), (10, 4), (10, 5), (11, 5)])
 def test_pruned_search_matches_unpruned_search_on_unoriented_rings(n, k):
     # Weights start at 1 here: the unit's bound is N itself, and the longest
@@ -384,15 +394,17 @@ def count_reductions(monkeypatch, search, ring):
     + [(n, k, False) for n, k in [(6, 3), (9, 3), (8, 4), (10, 4), (10, 5), (11, 5)]],
 )
 def test_search_reduces_as_often_as_one_pass_at_the_answers_length(monkeypatch, n, k, oriented):
-    # No level is walked twice: the best-first walk reduces exactly the steps
-    # of the single pruned pass at the final length.
+    # No level is walked twice: besides the h0 + 1 powers of the lightest variable
+    # x0 that find its height h0, the capped walk reduces at most the steps of the
+    # single pass at the final length pruned by the uncapped bound.
     ring = GrassmannPresentation(n, k)
     ring = ring.oriented() if oriented else ring
     ring.extend_to(ring.N)
+    h0 = height_direct(ring, Gf2Polynomial.variable(ring.weights, ring.weights[0])).height
     result, walk = count_reductions(monkeypatch, longest_monomial_product, ring)
     expected, one_pass = count_reductions(monkeypatch, lambda r: unpruned_longest_product(r, result[1]), ring)
     assert result == expected
-    assert walk == one_pass
+    assert walk <= one_pass + h0 + 1
 
 
 def random_oriented_ring(seed: int) -> GradedQuotient:
@@ -514,6 +526,23 @@ def test_ranks_only_ladder_drops_each_run_table_once_its_degree_is_built():
         ring.dim(d)
         assert len(ring._ranks) == d + 1
         assert ring._blocks == {}, d
+
+
+def test_quotients_over_one_variable_set_share_their_run_tables_and_ranks_only_adds_none():
+    # Run tables depend only on the weights and the degree: two rings that keep their rows hold
+    # the same packed arrays, computed once.  A ranks_only ladder computes lists of its own.
+    grassmann._table_store.cache_clear()
+    GrassmannPresentation(12, 5, ranks_only=True).betti()
+    assert grassmann._table_store.cache_info().currsize == 0
+    first, second = GrassmannPresentation(12, 5).oriented(), GrassmannPresentation(14, 5).oriented()
+    first.betti()
+    second.betti()
+    shared = first._blocks.keys() & second._blocks.keys()
+    assert len(shared) == len(first._blocks) > 0
+    for key in shared:
+        starts, targets = first._blocks[key]
+        assert type(starts) is type(targets) is array
+        assert second._blocks[key][0] is starts and second._blocks[key][1] is targets, key
 
 
 def test_reads_that_need_rows_refuse_a_ranks_only_ring():
