@@ -465,6 +465,21 @@ def term_products(x: Gf2Polynomial, v: int, degree: int, shift) -> int:
     return acc
 
 
+def class_height(ring, x: Gf2Polynomial) -> int:
+    """Largest c with x^c nonzero in the ring, 0 if x is zero there, for x homogeneous of positive degree:
+    the one walk over the powers of a class, through ring.times up to ring.N (a power above N is zero
+    without a ladder), kept on the ring by class, so it is walked once per ring and freed with the ring."""
+    heights = vars(ring).setdefault("_heights", {})
+    if x not in heights:
+        # x^c is kept as a vector in degree c * d; the unit is the vector 1 in degree 0.
+        d, c, u = x.homogeneous_degree(), 0, ring.times(1, 0, x)
+        while u:
+            c += 1
+            u = ring.times(u, c * d, x) if (c + 1) * d <= ring.N else 0
+        heights[x] = c
+    return heights[x]
+
+
 def check_domain(n: int, k: int) -> None:
     """Refuse (n, k) unless n >= 2k >= 6, the range of every bound and closed form."""
     if not (k >= 3 and n >= 2 * k):
@@ -585,8 +600,8 @@ def longest_monomial_product(ctx: GrassmannPresentation) -> tuple[tuple[int, ...
     states, one below N first, then the smallest exponent vector.
 
     Best-first, capped by the height h0 of the lightest variable x0 (the
-    weights ascend), found first with the walk's own steps: x0^(h0+1) = 0,
-    so no step past h0 factors x0 is pushed.  With w0 <= w1 the two lightest
+    weights ascend), read from the ring's power walk (class_height): x0^(h0+1)
+    = 0, so no step past h0 factors x0 is pushed.  With w0 <= w1 the two lightest
     weights, a child of length l in degree d with e0 factors x0 has no
     descendant longer than b = l + a + (R - w0 a) // w1, R = top - d,
     a = min(h0 - e0, R // w0): the most factors that fit in R with at most
@@ -612,12 +627,7 @@ def longest_monomial_product(ctx: GrassmannPresentation) -> tuple[tuple[int, ...
     w0 = weights[0]
     # With one variable no second term fits: (R - w0 a) // w1 is 0 for R <= top.
     w1 = weights[1] if len(weights) > 1 else top + 1
-    h0, u = 0, 1
-    while (h0 + 1) * w0 <= top:
-        u = elims[(h0 + 1) * w0].reduce(shift(u, h0 * w0, 0))
-        if not u:
-            break
-        h0 += 1
+    h0 = class_height(ctx, Gf2Polynomial.variable(weights, w0))
     # Per length, the states merged so far; the unit: degree 0 has the single basis monomial 1 and no ideal rows.
     merged = {(0, 1): tuple(0 for _ in weights)}
     levels = {0: merged}

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf2poly import Gf2Polynomial
-from .grassmann import GrassmannPresentation, check_domain
+from .grassmann import GrassmannPresentation, check_domain, class_height
 from .schubert import SchubertRing
 
 
@@ -61,24 +61,14 @@ def decompose_n(n: int) -> NDecomposition:
 
 
 def height_direct(ctx: GrassmannPresentation | SchubertRing, x: Gf2Polynomial) -> HeightRecord:
-    """Largest c with x^c nonzero in the ring, by incremental powers through ctx.times."""
+    """Largest c with x^c nonzero in the ring, from the ring's one power walk (class_height)."""
     label = x.render()
-    if not x.is_homogeneous() or not x:
-        raise ValueError("height requires a nonzero homogeneous class")
     d = x.homogeneous_degree()
-    if d == 0:
-        raise ValueError("height requires a positive-degree class")
-    # x^c is kept as a vector in degree c * d; the unit is the vector 1 in
-    # degree 0.  A class above the formal dimension is zero without a ladder.
-    cur = ctx.times(1, 0, x)
-    if not cur:
+    if not d:
+        raise ValueError("height requires a nonzero homogeneous class of positive degree")
+    height = class_height(ctx, x)
+    if not height:
         raise ZeroClassError(f"{label} is zero in the {ctx.context} quotient for ({ctx.n}, {ctx.k})")
-    height = 1
-    while (height + 1) * d <= ctx.N:
-        cur = ctx.times(cur, height * d, x)
-        if not cur:
-            break
-        height += 1
     return HeightRecord(
         class_label=label,
         context=ctx.context,

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 import cuplength
 from cuplength import cli
+from cuplength.checks import CHECKS
 from cuplength.cli import (
     EXIT_CHECK,
     EXIT_OK,
@@ -22,7 +24,7 @@ from cuplength.cli import (
 )
 from cuplength.gf2linalg import Eliminator
 from cuplength.gf2poly import Gf2Polynomial, parse_polynomial
-from cuplength.grassmann import GrassmannPresentation, longest_monomial_product
+from cuplength.grassmann import GrassmannPresentation, gaussian_binomial, longest_monomial_product
 from cuplength.heights import height_direct
 
 
@@ -53,6 +55,18 @@ def test_ring_bad_input(capsys):
     code, _, err = run(capsys, "ring", "5", "3")
     assert code == EXIT_USAGE
     assert "error" in err
+
+
+def test_ring_judges_its_betti_vector_by_the_gaussian_binomials(monkeypatch, capsys):
+    # Palindromic, with the right total, yet not H's Betti vector: b_2 and b_(N-2) up by one, b_3 and b_(N-3) down.
+    shuffled = gaussian_binomial(9, 3)
+    for d, step in ((2, 1), (16, 1), (3, -1), (15, -1)):
+        shuffled[d] += step
+    monkeypatch.setattr(GrassmannPresentation, "betti", lambda self: list(shuffled))
+    code, out, err = run(capsys, "ring", "9", "3")
+    assert code == EXIT_CHECK
+    assert "match: yes" in out and "palindromic: yes" in out
+    assert err == "check failed: the Betti numbers of (9, 3) differ from the Gaussian binomial coefficients\n"
 
 
 def test_ideal_gens_agreement(capsys):
@@ -205,11 +219,6 @@ def test_sweep_cache_round_trip(tmp_path, capsys):
     code2, warm, _ = run(capsys, "sweep", "3", "6", "10", "--format", "csv", "--cache-dir", cache)
     assert code2 == EXIT_OK
     assert warm == cold
-    code3, refreshed, _ = run(
-        capsys, "sweep", "3", "6", "10", "--format", "csv", "--cache-dir", cache, "--no-cache"
-    )
-    assert code3 == EXIT_OK
-    assert refreshed == cold
 
 
 @pytest.mark.parametrize(
@@ -444,8 +453,8 @@ ACCEPTED_OPTIONS = [
     ("ring", ("6", "3"), ("--format", "--max-degree")),
     ("ideal-gens", ("6", "3"), ("--format", "--max-degree")),
     ("height", ("9", "3", "w2"), ("--format", "--max-degree", "--oriented")),
-    ("bounds", ("9", "3"), ("--format", "--max-degree", "--cache-dir", "--no-cache", "--field")),
-    ("sweep", ("3", "6", "8"), ("--format", "--max-degree", "--cache-dir", "--no-cache", "--field")),
+    ("bounds", ("9", "3"), ("--format", "--max-degree", "--cache-dir", "--field")),
+    ("sweep", ("3", "6", "8"), ("--format", "--max-degree", "--cache-dir", "--field")),
     ("verify", (), ("--only", "--max-n")),
 ]
 
@@ -468,6 +477,54 @@ def test_q_override_validation(capsys):
     code, _, err = run(capsys, "bounds", "9", "3", "--q-override", "2")
     assert code == EXIT_USAGE
     assert "unrecognized arguments: --q-override 2" in err
+
+
+def fuzz_argv(rng: random.Random, tmp_path) -> list[str]:
+    """One argument list from a small grammar: a command, a ring with n <= 12, and up to three
+    options, mostly ones the command reads; about one integer or value in seven is malformed."""
+
+    def value(good: str, bad: tuple) -> str:
+        return good if rng.random() < 0.85 else rng.choice(bad)
+
+    def integer(good: int) -> str:
+        return value(str(good), ("x", "-1", "3.5", "", "1e2", "0x9", "2", "0"))
+
+    command, _, accepted = rng.choice(ACCEPTED_OPTIONS)
+    # n = 2k - 1 lies just outside the domain, and so does a sweep range that ends below its start.
+    k = rng.randint(3, 5 if command == "sweep" else 6)
+    n = rng.randint(2 * k - 1, 12)
+    if command == "sweep":
+        argv = [command, integer(k), integer(n), integer(rng.randint(n - 1, 12))]
+    elif command == "verify":
+        argv = [command, "--max-n", integer(rng.randint(5, 12))]
+    else:
+        argv = [command, integer(n), integer(k)]
+    if command == "height":
+        argv.append(value(rng.choice(["w2", "w3", "w2^2 + w4", "w2*w3", "w3^2 + w2^3"]), ("w1", "w9", "w2^", "1", "0", "")))
+    values = {
+        "--format": value(rng.choice(["text", "json", "csv"]), ("xml", "")),
+        "--max-degree": integer(rng.randint(1, 40)),
+        "--cache-dir": value(str(tmp_path), (str(tmp_path / "missing"),)),
+        "--q-override": "2",
+        "--field": value(rng.choice(["gf2", "rational", "both"]), ("z3",)),
+        "--only": value(rng.choice(list(CHECKS)), ("nope",)),
+        "--max-n": integer(rng.randint(5, 12)),
+    }
+    options = accepted if rng.random() < 0.8 else ALL_OPTIONS
+    for option in rng.sample(options, min(len(options), rng.randint(0, 3))):
+        # --oriented and --no-cache are flags, given without a value.
+        argv += [option] + ([values[option]] if option in values else [])
+    return argv
+
+
+def test_random_argument_lists_end_in_an_exit_code(tmp_path, capsys):
+    # main() returns a code from 0 to 4 for every list, and raises nothing.
+    rng = random.Random(2005)
+    for _ in range(300):
+        argv = fuzz_argv(rng, tmp_path)
+        code = main(argv)
+        capsys.readouterr()
+        assert code in range(5), argv
 
 
 # sha256 of the empty string: the stream was not written to.

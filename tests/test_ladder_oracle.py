@@ -12,6 +12,7 @@ ladder keeps, defers and refuses.  CI also runs this file under python -O,
 where an assert-based check would vanish.
 """
 
+import gc
 import hashlib
 import random
 import tracemalloc
@@ -31,9 +32,12 @@ from cuplength.grassmann import (
     k3_reduced_quotient,
     longest_monomial_product,
     monomial_basis,
+    oriented_quotient,
     w1_adjoined_quotient,
 )
+from cuplength.bounds import summarize_oriented
 from cuplength.heights import height_direct
+from cuplength.schubert import SchubertRing
 
 from conftest import ORIENTED_GRID, add_row, installed_rows, shift_bits
 
@@ -394,9 +398,9 @@ def count_reductions(monkeypatch, search, ring):
     + [(n, k, False) for n, k in [(6, 3), (9, 3), (8, 4), (10, 4), (10, 5), (11, 5)]],
 )
 def test_search_reduces_as_often_as_one_pass_at_the_answers_length(monkeypatch, n, k, oriented):
-    # No level is walked twice: besides the h0 + 1 powers of the lightest variable
-    # x0 that find its height h0, the capped walk reduces at most the steps of the
-    # single pass at the final length pruned by the uncapped bound.
+    # No level is walked twice: the height h0 of the lightest variable x0, already
+    # read here, is kept on the ring, so the capped walk reduces at most the steps of
+    # the single pass at the final length pruned by the uncapped bound.
     ring = GrassmannPresentation(n, k)
     ring = ring.oriented() if oriented else ring
     ring.extend_to(ring.N)
@@ -404,7 +408,47 @@ def test_search_reduces_as_often_as_one_pass_at_the_answers_length(monkeypatch, 
     result, walk = count_reductions(monkeypatch, longest_monomial_product, ring)
     expected, one_pass = count_reductions(monkeypatch, lambda r: unpruned_longest_product(r, result[1]), ring)
     assert result == expected
-    assert walk <= one_pass + h0 + 1
+    assert walk <= one_pass
+
+
+def test_a_cold_summary_walks_the_powers_of_w2_once(monkeypatch):
+    # The summary's height of w2 and the search's cap h0 (w2 is C's lightest variable) read
+    # one walk: a cold summary makes the reductions of a cold search alone, and a search
+    # after the height makes the walk's ht + 1 fewer.
+    summary, cold_summary = count_reductions(monkeypatch, summarize_oriented, oriented_quotient(16, 6))
+    _, cold_search = count_reductions(monkeypatch, longest_monomial_product, oriented_quotient(16, 6))
+    ring = oriented_quotient(16, 6)
+    w2 = Gf2Polynomial.variable(ring.weights, 2)
+    record, walk = count_reductions(monkeypatch, lambda r: height_direct(r, w2), ring)
+    _, search = count_reductions(monkeypatch, longest_monomial_product, ring)
+    assert record.height == summary.ht_w2 == 15
+    assert walk == record.height + 1
+    assert search == cold_search - walk
+    assert cold_summary == cold_search
+
+
+def test_a_second_height_query_walks_no_power(monkeypatch):
+    # The answer is kept on the ring, by class: asking again reduces (or, on the Schubert
+    # ring, shifts) nothing, and the ring is still freed by reference counting.
+    shifts = []
+    shift = SchubertRing._shift
+    monkeypatch.setattr(SchubertRing, "_shift", lambda self, *a: shifts.append(a) or shift(self, *a))
+    gc.disable()
+    try:
+        for make in (oriented_quotient, SchubertRing):
+            ring = make(10, 4)
+            x = Gf2Polynomial.variable(ring.weights, 2) ** 2 + Gf2Polynomial.variable(ring.weights, 4)
+            first, walk = count_reductions(monkeypatch, lambda r: height_direct(r, x), ring)
+            walked = len(shifts)
+            second, again = count_reductions(monkeypatch, lambda r: height_direct(r, x), ring)
+            assert first == second and first.height > 0
+            assert again == 0 and len(shifts) == walked
+            assert walk + walked > 0
+            ref = weakref.ref(ring)
+            del ring
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 def random_oriented_ring(seed: int) -> GradedQuotient:
