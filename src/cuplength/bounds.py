@@ -229,16 +229,11 @@ def full_report(
         if lower_a3(N, length, degree) > best_low.value:
             best_low = Bound(lower_a3(N, length, degree), "(a3) product")
 
-        # The table's upper bound is already at most the (a1) count N // 2.
-        a2_hit = check_a2(N, 2, ht_or)
-        if a2_hit is not None:
-            certs.append(("(a2)", f"2 * {ht_or} = {N} forces the exact value {a2_hit}"))
-            best_low = best_up = Bound(a2_hit, "(a2)")
-        elif 2 * ht_or < N:
-            sharp = upper_b1(N, ht_or)
-            certs.append(("(b1) computed", f"exponent {ht_or}, q = 3: upper bound {sharp}"))
-            if sharp < best_up.value:
-                best_up = Bound(sharp, "(b1) computed height")
+        # C is zero in degree N (a degree-2 cover pulls H^N back to 0 mod 2), so 2 * ht < N and (a2) never applies.
+        sharp = upper_b1(N, ht_or)
+        certs.append(("(b1) computed", f"exponent {ht_or}, q = 3: upper bound {sharp}"))
+        if sharp < best_up.value:
+            best_up = Bound(sharp, "(b1) computed height")
 
     return BoundReport(
         n=n,

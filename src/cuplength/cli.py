@@ -352,6 +352,9 @@ def entry() -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         code = EXIT_OK
+    except KeyboardInterrupt:
+        print("interrupted (Ctrl-C)", file=sys.stderr)
+        code = 130  # 128 + SIGINT, the shell's convention
     sys.exit(code)
 
 

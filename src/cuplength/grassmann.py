@@ -121,14 +121,14 @@ class GradedQuotient:
     and keeps its own, which makes it a valid source for the next degrees.  A
     signature whose t is a leading term of (g_1..g_{j-1}) is skipped, since
     its row would reduce to zero; for a regular sequence no other row does,
-    and regular_name (the ring's name, for the message) turns that into a
-    check.  The quotient vanishes above top, given (a formal dimension).
-    Every presentation of C = H/w1*H, H of Poincare duality in dimension N
-    with Betti numbers b, lowers it to where C ends and drops the degrees
-    above: dim C_d - (b_d - b_(d-1)) is the kernel of w1 on H^(d-1), which
-    duality pairs with C^(N-d+1), so the first d with a kernel makes top
-    N - d + 1.  A negative kernel raises RuntimeError.  Any other quotient
-    is built to the top its caller gives.
+    and as many generators as variables with a finite quotient are one, so
+    there a zero row raises RuntimeError.  The quotient vanishes above top,
+    given (a formal dimension).  Every presentation of C = H/w1*H, H of
+    Poincare duality in dimension N with Betti numbers b, lowers it to where
+    C ends and drops the degrees above: dim C_d - (b_d - b_(d-1)) is the
+    kernel of w1 on H^(d-1), which duality pairs with C^(N-d+1), so the
+    first d with a kernel makes top N - d + 1.  A negative kernel raises
+    RuntimeError.  Any other quotient is built to the top its caller gives.
 
     A column is known only by counting: column c of degree d is the monomial
     with c monomials of degree d before it in the canonical order, so ranks,
@@ -153,15 +153,14 @@ class GradedQuotient:
     dim works but a read that reduces (normal_form, is_zero, times,
     longest_monomial_product) raises ValueError.  Every pivot is still
     predicted, and every row whose pivot is taken still goes through add
-    and, for a regular sequence, is checked; but a row that a table of many
+    and is checked as above; but a row that a table of many
     runs moves is deferred (see Eliminator), its bits computed only if add
     reads it.
     """
 
-    def __init__(self, weights, generators, top, regular_name=None, ranks_only=False):
+    def __init__(self, weights, generators, top, ranks_only=False):
         self.weights = tuple(weights)
         self.top = top
-        self.regular_name = regular_name
         self.ranks_only = ranks_only
         self.generators: tuple[Gf2Polynomial, ...] = tuple(g for g in generators if g)
         for g in self.generators:
@@ -253,9 +252,9 @@ class GradedQuotient:
                             # Only here can a row reduce to zero.
                             q = elim.add(u, p)
                             if not q:
-                                if self.regular_name is not None:
+                                if len(self.generators) == len(self.weights):
                                     raise RuntimeError(
-                                        f"ring {self.regular_name}: a row of degree {d} from generator index {j} "
+                                        f"weights {self.weights}: a row of degree {d} from generator index {j} "
                                         "reduced to zero, so the generators are not a regular sequence"
                                     )
                                 continue
@@ -521,8 +520,8 @@ class GrassmannPresentation(GradedQuotient):
     def __init__(self, n: int, k: int, max_degree: int = MAX_DEGREE, ranks_only=False):
         N = formal_dimension(n, k, max_degree)
         gens = tuple(inverse_series_components(range(1, k + 1), n, n - k + 1))
-        # Only the unoriented generators are a regular sequence (k of them in k variables).
-        super().__init__(range(1, k + 1), gens, top=N, regular_name=f"(n, k) = ({n}, {k})", ranks_only=ranks_only)
+        # k generators in k variables with a finite quotient: a regular sequence, so checked.
+        super().__init__(range(1, k + 1), gens, top=N, ranks_only=ranks_only)
         self.n, self.k, self.N, self.context, self.ideal_gens = n, k, N, "unoriented", gens
         self._oriented: GrassmannPresentation | None = None
 

@@ -209,6 +209,16 @@ def test_b1_takes_q_3_and_refuses_a_summary_without_degree_3():
         full_report(9, 3, summary=no_w3)
 
 
+def test_z2_report_refuses_a_w2_height_of_half_the_formal_dimension():
+    # C ends below N over Z2, so 2 * ht(w2) < N and (a2) cannot apply: a summary
+    # claiming ht = 9 for (9, 3), N = 18, fails (b1)'s hypothesis instead of
+    # printing the exact value 9.
+    summary = summarize_oriented(GrassmannPresentation(9, 3))
+    assert 2 * summary.ht_w2 < 18
+    with pytest.raises(ValueError, match=r"nilpotency hypothesis 0 < 2 \* 9 < 18 fails"):
+        full_report(9, 3, summary=dataclasses.replace(summary, ht_w2=9))
+
+
 def test_report_from_summary_matches_fresh(tmp_path):
     pres = GrassmannPresentation(10, 3)
     summary = summarize_oriented(pres)

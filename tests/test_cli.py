@@ -6,8 +6,10 @@ import json
 import os
 import random
 import resource
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -395,6 +397,29 @@ def test_closed_pipe_exits_quietly():
     proc.stderr.close()
     assert err == b""
     assert code == EXIT_OK
+
+
+def test_ctrl_c_exits_130_with_one_line():
+    # bounds 34 6 runs for many seconds, so SIGINT after 2 s lands mid-computation.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cuplength.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cuplength.cli", "bounds", "34", "6"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        time.sleep(2)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130
+    assert out == b""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(b"interrupted")
+    assert b"Traceback" not in err
 
 
 def test_verify_subset(capsys):

@@ -164,20 +164,34 @@ def test_zero_rows_only_where_the_generators_are_not_regular(monkeypatch, n, k, 
     assert CountingEliminator.zero_rows == zero_rows
 
 
+def non_regular_pair(ranks_only: bool) -> GradedQuotient:
+    # (w2^2, w2*w3) are two relations in two variables with the common factor
+    # w2, so w2 * (w2*w3) = w3 * w2^2 reduces a row of degree 7 to zero: not a
+    # regular sequence (and w3 has no vanishing power).
+    w2, w3 = (Gf2Polynomial.variable((2, 3), w) for w in (2, 3))
+    return GradedQuotient((2, 3), (w2 * w2, w2 * w3), top=18, ranks_only=ranks_only)
+
+
 def test_zero_row_in_a_regular_ladder_raises():
-    # The oriented (9, 3) generators are three in two variables, not a
-    # regular sequence; declared regular, their first zero row must stop
-    # the build, naming the ring, the degree and the generator.
-    ctx = GrassmannPresentation(9, 3).oriented()
-    quotient = GradedQuotient(ctx.weights, ctx.ideal_gens, top=ctx.N, regular_name="(n, k) = (9, 3)")
-    with pytest.raises(RuntimeError, match=r"\(n, k\) = \(9, 3\): a row of degree 11 from generator index 2"):
-        quotient.extend_to(ctx.N)
+    # As many generators as variables must be a regular sequence; the first
+    # zero row stops the build, naming the weights, the degree and the generator.
+    with pytest.raises(RuntimeError, match=r"weights \(2, 3\): a row of degree 7 from generator index 1"):
+        non_regular_pair(ranks_only=False).extend_to(18)
 
 
-def test_unoriented_ring_declares_its_generators_regular():
-    pres = GrassmannPresentation(9, 3)
-    assert pres.regular_name == "(n, k) = (9, 3)"
-    assert pres.oriented().regular_name is None
+# Every presentation of C with as many nonzero relations as variables and
+# N <= 64: the oriented ring, and for k = 3 the closed-form one too.
+EQUAL_COUNT = [(n, 3, kind) for n in (6, 7, 13, 14, 15) for kind in ("oriented", "k3-closed-form")]
+EQUAL_COUNT += [(n, 4, "oriented") for n in (8, 13, 14, 15, 16)]
+
+
+@pytest.mark.parametrize("n,k,kind", EQUAL_COUNT)
+def test_complete_intersection_presentations_of_c_build_with_the_regularity_check(n, k, kind):
+    quotient = dict(quotients(n, k))[kind]
+    assert len(quotient.generators) == len(quotient.weights)
+    quotient.extend_to(k * (n - k))
+    assert quotient.top < k * (n - k)
+    assert quotient.dim(quotient.top) > 0
 
 
 def test_signature_rows_are_dropped_once_the_top_degree_is_built():
@@ -613,12 +627,8 @@ def test_oriented_ring_of_a_ranks_only_ring_keeps_its_rows():
 
 
 def test_ranks_only_ladder_still_checks_regularity():
-    ctx = GrassmannPresentation(9, 3).oriented()
-    quotient = GradedQuotient(
-        ctx.weights, ctx.ideal_gens, top=ctx.N, regular_name="(n, k) = (9, 3)", ranks_only=True
-    )
-    with pytest.raises(RuntimeError, match=r"\(n, k\) = \(9, 3\): a row of degree 11 from generator index 2"):
-        quotient.extend_to(ctx.N)
+    with pytest.raises(RuntimeError, match=r"weights \(2, 3\): a row of degree 7 from generator index 1"):
+        non_regular_pair(ranks_only=True).extend_to(18)
 
 
 def test_ring_command_and_betti_duality_use_ranks_only_rings(monkeypatch, capsys):
