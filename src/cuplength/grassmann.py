@@ -672,19 +672,49 @@ def longest_monomial_product(ctx: GrassmannPresentation) -> tuple[tuple[int, ...
     return exps, deepest_len, d
 
 
-RECORD_SCHEMA = 1
-_RECORD_KEYS = {"schema", "n", "k", "mode", "betti", "ht_w2", "longest_product"}
+RECORD_SCHEMA = 2
+_RECORD_KEYS = {"schema", "n", "k", "top", "ht_w2", "longest_product"}
 
 
 @dataclass(frozen=True)
 class OrientedSummary:
-    """Everything the bound assembly needs from one oriented cohomology ring, and its cache record."""
+    """What the bound assembly reads of the oriented ring C of (n, k), and its cache record.
+
+    top is C's last nonzero degree, ht_w2 the height of w2, and longest a
+    longest nonzero product (exponents over w2..wk, length, degree) as
+    longest_monomial_product returns it.  ValueError on values that cannot
+    belong together, whether they come from a cache record or a caller.
+    """
 
     n: int
     k: int
     ht_w2: int
     longest: tuple[tuple[int, ...], int, int]
-    char_dims: tuple[int, ...]
+    top: int
+
+    def __post_init__(self):
+        check_domain(self.n, self.k)
+        k, ht, top, N = self.k, self.ht_w2, self.top, self.k * (self.n - self.k)
+        exps, length, degree = self.longest
+        # A degree-2 cover pulls H^N back to 0 mod 2, so C ends below N.
+        if top >= N:
+            raise ValueError(f"top = {top}, but C vanishes in degree N = {N}")
+        if len(exps) != k - 1 or min(exps) < 0:
+            raise ValueError(f"the longest product needs {k - 1} nonnegative exponents")
+        if length != sum(exps):
+            raise ValueError("the longest product's length is not the sum of its exponents")
+        if degree != sum(w * e for w, e in zip(range(2, k + 1), exps)):
+            raise ValueError("the longest product's degree is not the degree of its exponents")
+        if degree > top:
+            raise ValueError(f"the longest product lies in degree {degree}, which has no classes")
+        if not 0 <= 2 * ht <= top:
+            raise ValueError(f"w2^{ht} lies in degree {2 * ht}, which has no classes")
+        # A nonzero w2^a * m forces w2^a != 0, and w2^ht is itself a nonzero product of length ht.
+        if not exps[0] <= ht <= length:
+            raise ValueError(f"ht_w2 = {ht} is outside [{exps[0]}, {length}] set by the longest product")
+        # No relation lies below degree n - k + 1 >= 4, so b_2 = 1 and w2 is nonzero.
+        if ht < 1:
+            raise ValueError(f"ht_w2 = {ht}, but w2 is nonzero (b_2 = 1)")
 
 
 def _record_path(cache_dir: str, n: int, k: int) -> str:
@@ -698,8 +728,7 @@ def save_record(cache_dir: str, summary: OrientedSummary) -> str:
         "schema": RECORD_SCHEMA,
         "n": summary.n,
         "k": summary.k,
-        "mode": "oriented",
-        "betti": list(summary.char_dims),
+        "top": summary.top,
         "ht_w2": summary.ht_w2,
         "longest_product": [list(exps), length, degree],
     }
@@ -721,9 +750,8 @@ def load_record(cache_dir: str, n: int, k: int) -> OrientedSummary | None:
     """The summary cached for (n, k); None on a miss.
 
     ValueError on (n, k) outside the domain, checked before any file is read,
-    and on a record that is malformed, whose fields disagree with each other,
-    or whose Betti numbers below the first relation degree n - k + 1 are not
-    the monomial counts of w2..wk.
+    on a record that is malformed, of another schema or of another ring, and,
+    prefixed with the ring, on values that OrientedSummary refuses.
     """
     check_domain(n, k)
     path = _record_path(cache_dir, n, k)
@@ -734,54 +762,27 @@ def load_record(cache_dir: str, n: int, k: int) -> OrientedSummary | None:
             record = json.load(fh)
     except ValueError as exc:  # JSON or text decoding
         raise ValueError(f"cache record {path} cannot be decoded: {exc}") from None
-    if not isinstance(record, dict) or set(record) != _RECORD_KEYS:
+    if not isinstance(record, dict) or "schema" not in record:
         raise ValueError(f"unrecognized cache record shape in {path}")
     if record["schema"] != RECORD_SCHEMA:
         raise ValueError(f"unsupported cache schema {record['schema']!r} in {path}")
-    if (record["n"], record["k"], record["mode"]) != (n, k, "oriented"):
+    if set(record) != _RECORD_KEYS:
+        raise ValueError(f"unrecognized cache record shape in {path}")
+    if (record["n"], record["k"]) != (n, k):
         raise ValueError(f"cache record {path} does not match its file name")
-    betti, ht, product = record["betti"], record["ht_w2"], record["longest_product"]
+    top, ht, product = record["top"], record["ht_w2"], record["longest_product"]
     if not (
-        type(ht) is int
-        and _is_int_list(betti)
-        and isinstance(product, list)
+        isinstance(product, list)
         and len(product) == 3
         and _is_int_list(product[0])
-        and _is_int_list(product[1:])
+        and _is_int_list([top, ht, *product[1:]])
     ):
         raise ValueError(f"cache record {path} has a field of the wrong type")
-    N = k * (n - k)
-    where = f"cache record for ({n}, {k})"
-    if len(betti) != N + 1:
-        raise ValueError(f"{where} needs {N + 1} Betti numbers")
-    if min(betti) < 0:
-        raise ValueError(f"{where}: a Betti number is negative")
-    # No relation has degree below n - k + 1, so there b_d counts the monomials of w2..wk of degree d:
-    # b_d - b_(d-1) of the unoriented ring, as w1 is injective on it there.
-    b = gaussian_binomial(n, k)
-    for d in range(n - k + 1):
-        count = b[d] - (b[d - 1] if d else 0)
-        if betti[d] != count:
-            raise ValueError(f"{where}: b_{d} is {betti[d]}, not the monomial count {count} below degree {n - k + 1}")
     exps, length, degree = product
-    if len(exps) != k - 1 or min(exps) < 0:
-        raise ValueError(f"{where}: the longest product needs {k - 1} nonnegative exponents")
-    if length != sum(exps):
-        raise ValueError(f"{where}: the longest product's length is not the sum of its exponents")
-    if degree != sum(w * e for w, e in zip(range(2, k + 1), exps)):
-        raise ValueError(f"{where}: the longest product's degree is not the degree of its exponents")
-    # Ranges first: betti[-1] is a valid index.
-    if not (0 <= degree <= N and betti[degree]):
-        raise ValueError(f"{where}: the longest product lies in degree {degree}, which has no classes")
-    if not (0 <= 2 * ht <= N and betti[2 * ht]):
-        raise ValueError(f"{where}: w2^{ht} lies in degree {2 * ht}, which has no classes")
-    # A nonzero w2^a * m forces w2^a != 0, and w2^ht is itself a nonzero product of length ht.
-    if not exps[0] <= ht <= length:
-        raise ValueError(f"{where}: ht_w2 = {ht} is outside [{exps[0]}, {length}] set by the longest product")
-    # b_2 = 1, checked above, makes w2 nonzero.
-    if ht < 1:
-        raise ValueError(f"{where}: ht_w2 = {ht}, but w2 is nonzero (b_2 = 1)")
-    return OrientedSummary(n, k, ht, (tuple(exps), length, degree), tuple(betti))
+    try:
+        return OrientedSummary(n, k, ht, (tuple(exps), length, degree), top)
+    except ValueError as exc:
+        raise ValueError(f"cache record for ({n}, {k}): {exc}") from None
 
 
 def _is_int_list(value) -> bool:

@@ -23,7 +23,7 @@ CRITERIA = {
     7: "closed-form upper bounds match the height dichotomy",
     8: "rational bounds with equality flags",
     9: "category intervals for the five small spaces",
-    10: "Betti duality, totals, and the odd-n height gap",
+    10: "Betti vectors equal the Gaussian binomials, and the odd-n height gap",
     11: "bit-packed linear algebra agrees with naive oracles",
 }
 
@@ -54,6 +54,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         else:
             status = "FAIL (did not complete)"
         terminalreporter.write_line(f"ACCEPTANCE {number:02d} {status}: {CRITERIA[number]}")
+
+
+def gaussian_binomial_betti(n: int, k: int) -> list[int]:
+    """Coefficients of the q-binomial [n, k]: partitions in a k x (n-k) box."""
+    coeffs = [1]
+    for i in range(1, k + 1):
+        top = n - k + i
+        with_factor = [0] * (len(coeffs) + top)
+        for d, c in enumerate(coeffs):
+            with_factor[d] += c
+            with_factor[d + top] -= c
+        quotient = [0] * (len(with_factor) - i)
+        for d in range(len(quotient)):
+            quotient[d] = with_factor[d] + (quotient[d - i] if d >= i else 0)
+        while quotient and quotient[-1] == 0:
+            quotient.pop()
+        coeffs = quotient
+    return coeffs
 
 
 def reference_polynomial_terms(weights, terms) -> tuple[Monomial, ...]:

@@ -7,7 +7,6 @@ built along the way are retained in a module registry so the structural
 criterion can audit every ring the earlier criteria touched.
 """
 
-import math
 import random
 import time
 
@@ -20,7 +19,7 @@ from cuplength.gf2poly import Gf2Polynomial
 from cuplength.grassmann import GrassmannPresentation
 from cuplength.heights import closed_form_w2_height, height_direct
 
-from conftest import add_row, naive_rank, record_criterion
+from conftest import add_row, gaussian_binomial_betti, naive_rank, record_criterion
 
 HEIGHT_GRID = (
     [(n, 3) for n in range(6, 41)]
@@ -167,11 +166,8 @@ def test_criterion_10_structural_properties(reg):
     assert built, "registry is empty; earlier criteria did not run"
     bad = []
     for n, k in built:
-        betti = reg.pres(n, k).betti()
-        if betti != betti[::-1]:
-            bad.append((n, k, "not palindromic"))
-        if sum(betti) != math.comb(n, k):
-            bad.append((n, k, "wrong total"))
+        if reg.pres(n, k).betti() != gaussian_binomial_betti(n, k):
+            bad.append((n, k, "Betti vector is not the Gaussian binomial's"))
     for n, k in built:
         if n % 2 == 1:
             if 2 * reg.oriented_ht(n, k) >= k * (n - k):

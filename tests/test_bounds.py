@@ -198,25 +198,43 @@ def test_report_q_override():
     assert report.lower <= report.upper
 
 
-def test_b1_takes_q_3_and_refuses_a_summary_without_degree_3():
+def test_b1_takes_q_3():
     summary = summarize_oriented(GrassmannPresentation(9, 3))
     report = full_report(9, 3, summary=summary)
     assert ("(b1) computed", "exponent 4, q = 3: upper bound 7") in report.certificates
     assert (report.upper, report.upper_method) == (7, "(b1) computed height")
-    # With no class in degree 3, (b1) would need q > 3; the report refuses instead.
-    no_w3 = dataclasses.replace(summary, char_dims=summary.char_dims[:3] + (0,) + summary.char_dims[4:])
-    with pytest.raises(RuntimeError, match=r"dimensions 1, 0 in degrees 2, 3"):
-        full_report(9, 3, summary=no_w3)
 
 
 def test_z2_report_refuses_a_w2_height_of_half_the_formal_dimension():
     # C ends below N over Z2, so 2 * ht(w2) < N and (a2) cannot apply: a summary
-    # claiming ht = 9 for (9, 3), N = 18, fails (b1)'s hypothesis instead of
+    # claiming ht = 9 for (9, 3), N = 18, is refused when it is made instead of
     # printing the exact value 9.
     summary = summarize_oriented(GrassmannPresentation(9, 3))
     assert 2 * summary.ht_w2 < 18
-    with pytest.raises(ValueError, match=r"nilpotency hypothesis 0 < 2 \* 9 < 18 fails"):
+    with pytest.raises(ValueError, match=r"^w2\^9 lies in degree 18, which has no classes$"):
         full_report(9, 3, summary=dataclasses.replace(summary, ht_w2=9))
+
+
+@pytest.mark.parametrize(
+    "ring,changes,message",
+    [
+        # Each of these used to print a false report: lower 7 = upper 7 (truth 5..7),
+        # lower 6 (truth 5), and upper 19 below the true 20.
+        ((9, 3), {"longest": ((4, 0), 6, 8)}, "the longest product's length is not the sum of its exponents"),
+        ((9, 3), {"ht_w2": 5, "longest": ((5, 0), 5, 10)}, "the longest product lies in degree 10, which has no classes"),
+        ((16, 4), {"ht_w2": 9}, r"ht_w2 = 9 is outside \[12, 15\] set by the longest product"),
+    ],
+)
+def test_library_summary_is_refused_when_it_is_made(ring, changes, message):
+    summary = summarize_oriented(GrassmannPresentation(*ring))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        full_report(*ring, summary=dataclasses.replace(summary, **changes))
+
+
+def test_report_refuses_a_summary_of_another_ring():
+    summary = summarize_oriented(GrassmannPresentation(10, 3))
+    with pytest.raises(ValueError, match=r"^a summary of \(10, 3\) cannot bound \(9, 3\)$"):
+        full_report(9, 3, summary=summary)
 
 
 def test_report_from_summary_matches_fresh(tmp_path):

@@ -63,6 +63,7 @@ CASES = [
     ("prop-b", "prop_b_bound", vanishing_certificate, r"\(6,3\): certificate w2\^9 vanishes"),
     ("prop-d", "prop_d_bound", plus_one_upper_bound, r"\(7,3\): table \d+ != dichotomy \d+"),
     ("membership-routes", "k3_reduced_quotient", next_ring, r"n=6: \d+ monomial memberships disagree"),
+    ("g-generators", "ideal_gens_k3", next_ring, r"n=6: closed form disagrees with series inversion"),
     ("betti-duality", "height_direct", half_the_formal_dimension, r"\(7,3\): odd n but 2\*6 >= 12"),
 ]
 

@@ -293,7 +293,7 @@ def _poison_record(capsys, cache, ring=(9, 3), **changes):
 
 @pytest.mark.parametrize(
     "field,value,message",
-    [("ht_w2", "4", "wrong type"), ("longest_product", [[4, 0], 4, None], "wrong type"), ("betti", [1], "19 Betti")],
+    [("ht_w2", "4", "wrong type"), ("longest_product", [[4, 0], 4, None], "wrong type"), ("top", "8", "wrong type")],
 )
 def test_bounds_cache_malformed_field_rejected(tmp_path, capsys, field, value, message):
     cache = str(tmp_path)
@@ -316,9 +316,9 @@ def test_bounds_cache_malformed_field_rejected(tmp_path, capsys, field, value, m
         ({"longest_product": [[5, -1], 4, 7]}, "needs 2 nonnegative exponents"),
         ({"longest_product": [[4, 0], 3, 8]}, "length is not the sum"),
         ({"ht_w2": -1}, "w2^-1 lies in degree -2"),
-        # No relation lies below degree 7, so b_3 counts the one monomial w3 (and pins q = 3).
-        ({"betti": [1, 0, 1, 0, 1, 1, 2, 0, 1] + [0] * 10}, "b_3 is 0, not the monomial count 1 below degree 7"),
-        ({"betti": [1, 0, 1, 1, 1, 1, 2, -1, 1] + [0] * 10}, "a Betti number is negative"),
+        # C vanishes in degree N = 18, and the longest product w2^4 lies in degree 8.
+        ({"top": 18}, "top = 18, but C vanishes in degree N = 18"),
+        ({"top": 7}, "the longest product lies in degree 8, which has no classes"),
         # The longest product w2^4 is nonzero, so w2 has height at least 4.
         ({"ht_w2": 3}, "ht_w2 = 3 is outside [4, 4]"),
         # b_2 = 1 makes w2 nonzero, so a zero height is the record's fault, not the engine's.
@@ -333,6 +333,19 @@ def test_bounds_cache_inconsistent_record_rejected(tmp_path, capsys, changes, me
     assert out == ""
     assert err.startswith("error: cache record for (9, 3)") and message in err
     assert len(err.splitlines()) == 1
+
+
+def test_bounds_cache_schema_1_record_rejected_by_name(tmp_path, capsys):
+    # The record format before top replaced the Betti vector.
+    path = tmp_path / "gr_9_3_oriented.json"
+    path.write_text(
+        '{"betti": [1, 0, 1, 1, 1, 1, 2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], "ht_w2": 4, "k": 3, '
+        '"longest_product": [[4, 0], 4, 8], "mode": "oriented", "n": 9, "schema": 1}\n'
+    )
+    code, out, err = run(capsys, "bounds", "9", "3", "--cache-dir", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: unsupported cache schema 1 in {path}\n"
 
 
 @pytest.mark.parametrize("raw,reason", [(b"not json", "Expecting value"), (b"\xff\xfe", "codec can't decode")])

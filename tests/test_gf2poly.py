@@ -77,6 +77,8 @@ def test_lucas_parity_small_table():
     rows = {}
     for i in range(8):
         rows[i] = [lucas_parity(i, j) for j in range(i + 1)]
+        # C(i, j) = 0 for j > i.
+        assert [lucas_parity(i, j) for j in range(i + 1, 10)] == [0] * (9 - i)
     pascal = [[1]]
     for i in range(1, 8):
         prev = pascal[-1] + [0]

@@ -27,25 +27,7 @@ from cuplength.grassmann import (
 )
 from cuplength.schubert import SchubertRing
 
-from conftest import ORIENTED_GRID, cokernel_is_zero, w1_images
-
-
-def gaussian_binomial_betti(n: int, k: int) -> list[int]:
-    """Coefficients of the q-binomial [n, k]: partitions in a k x (n-k) box."""
-    coeffs = [1]
-    for i in range(1, k + 1):
-        top = n - k + i
-        with_factor = [0] * (len(coeffs) + top)
-        for d, c in enumerate(coeffs):
-            with_factor[d] += c
-            with_factor[d + top] -= c
-        quotient = [0] * (len(with_factor) - i)
-        for d in range(len(quotient)):
-            quotient[d] = with_factor[d] + (quotient[d - i] if d >= i else 0)
-        while quotient and quotient[-1] == 0:
-            quotient.pop()
-        coeffs = quotient
-    return coeffs
+from conftest import ORIENTED_GRID, cokernel_is_zero, gaussian_binomial_betti, w1_images
 
 
 @pytest.mark.parametrize("k", range(3, 8))
@@ -54,7 +36,7 @@ def test_gaussian_binomial_helper_counts_partitions_and_low_monomials(k):
         b = gaussian_binomial(n, k)
         assert b == gaussian_binomial_betti(n, k), (n, k)
         # Below the first relation degree n - k + 1 w1 is injective, so b_d - b_(d-1)
-        # counts the monomials of w2..wk, as load_record reads it.
+        # counts the monomials of w2..wk.
         for d in range(n - k + 1):
             assert len(monomial_basis(tuple(range(2, k + 1)), d)) == b[d] - (b[d - 1] if d else 0), (n, k, d)
 
@@ -404,9 +386,7 @@ def test_generator_multiples_vanish(n, a, b):
 
 
 # The summary of the oriented (9, 3) ring, as bounds computes it.
-SUMMARY_9_3 = OrientedSummary(
-    n=9, k=3, ht_w2=4, longest=((4, 0), 4, 8), char_dims=(1, 0, 1, 1, 1, 1, 2, 0, 1) + (0,) * 10
-)
+SUMMARY_9_3 = OrientedSummary(n=9, k=3, ht_w2=4, longest=((4, 0), 4, 8), top=8)
 
 
 def poison_record(tmp_path, **changes) -> None:
@@ -426,8 +406,7 @@ def test_record_round_trip(tmp_path):
     assert load_record(str(tmp_path), 10, 3) is None
     with open(path) as fh:
         assert fh.read() == (
-            '{"betti": [1, 0, 1, 1, 1, 1, 2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], "ht_w2": 4, "k": 3, '
-            '"longest_product": [[4, 0], 4, 8], "mode": "oriented", "n": 9, "schema": 1}\n'
+            '{"ht_w2": 4, "k": 3, "longest_product": [[4, 0], 4, 8], "n": 9, "schema": 2, "top": 8}\n'
         )
     assert os.listdir(str(tmp_path)) == ["gr_9_3_oriented.json"]
 
@@ -436,7 +415,6 @@ def test_record_rejects_malformed(tmp_path):
     for changes, message in [
         ({"schema": 99}, "unsupported cache schema 99"),
         ({"n": 11}, "does not match its file name"),
-        ({"mode": "unoriented"}, "does not match its file name"),
         ({"extra": 1}, "unrecognized cache record shape"),
     ]:
         poison_record(tmp_path, **changes)
@@ -451,9 +429,9 @@ def test_record_rejects_malformed(tmp_path):
         ("ht_w2", 4.0),
         ("ht_w2", True),
         ("ht_w2", None),
-        ("betti", "1,0,1"),
-        ("betti", [1, "0", 1]),
-        ("betti", {"0": 1}),
+        ("top", "8"),
+        ("top", 8.0),
+        ("top", [8]),
         ("longest_product", [[4, 0], 4]),
         ("longest_product", [[4, "0"], 4, 8]),
         ("longest_product", [4, 4, 8]),

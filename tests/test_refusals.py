@@ -114,7 +114,7 @@ def test_save_record_leaves_no_temporary_file_when_its_write_raises(tmp_path, mo
         raise OSError("disk full")
 
     monkeypatch.setattr(json, "dump", broken_dump)
-    summary = OrientedSummary(n=9, k=3, ht_w2=4, longest=((4, 1), 5, 11), char_dims=(1,))
+    summary = OrientedSummary(n=9, k=3, ht_w2=4, longest=((4, 0), 4, 8), top=8)
     with pytest.raises(OSError, match="disk full"):
         save_record(str(tmp_path), summary)
     assert os.listdir(tmp_path) == []
